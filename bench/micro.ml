@@ -114,7 +114,7 @@ let state_bench enc name =
   let i = ref 0L in
   Test.make ~name (Staged.stage (fun () ->
       i := Int64.rem (Int64.add !i 7L) 4096L;
-      ignore (Flexbpf.State.incr st [ !i ] 1L)))
+      ignore (Flexbpf.State.incr st [| !i |] 1L)))
 
 let test_state_registers = state_bench Flexbpf.State.Registers "state: registers incr"
 let test_state_flow = state_bench Flexbpf.State.Flow_state "state: flow_state incr"

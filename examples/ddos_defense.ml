@@ -43,7 +43,7 @@ let () =
      completed handshakes before the trace starts) *)
   let establish dev =
     match Targets.Device.map_state dev "established" with
-    | Some st -> Flexbpf.State.put st [ 5L; Int64.of_int h1.Netsim.Node.id ] 1L
+    | Some st -> Flexbpf.State.put st [| 5L; Int64.of_int h1.Netsim.Node.id |] 1L
     | None -> ()
   in
 

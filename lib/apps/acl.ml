@@ -29,5 +29,5 @@ let deny_rule ~src ~dst =
 
 let denied_count dev =
   match Targets.Device.map_state dev "acl_denied" with
-  | Some st -> Flexbpf.State.get st [ 0L ]
+  | Some st -> Flexbpf.State.get st [| 0L |]
   | None -> 0L

@@ -50,7 +50,7 @@ let estimate cfg state ~src ~dst ~proto =
     if row >= cfg.depth then best
     else begin
       let col = column cfg ~row ~src ~dst ~proto in
-      let v = State.get state [ Int64.of_int row; col ] in
+      let v = State.get state [| Int64.of_int row; col |] in
       go (row + 1) (min best v)
     end
   in

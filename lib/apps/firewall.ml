@@ -38,9 +38,9 @@ let program ?(owner = "tenant") ?(boundary = 100) () =
 (** Number of inbound packets dropped so far, read from device state. *)
 let denied_count dev =
   match Targets.Device.map_state dev "fw_denied" with
-  | Some st -> Flexbpf.State.get st [ 0L ]
+  | Some st -> Flexbpf.State.get st [| 0L |]
   | None ->
     (* tenant-namespaced instance *)
     (match Targets.Device.map_state dev "tenant/fw_denied" with
-     | Some st -> Flexbpf.State.get st [ 0L ]
+     | Some st -> Flexbpf.State.get st [| 0L |]
      | None -> 0L)

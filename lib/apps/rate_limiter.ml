@@ -46,5 +46,5 @@ let program ?(owner = "infra") ~rate_pps ~burst () =
 
 let policed_count dev =
   match Targets.Device.map_state dev "tb_policed" with
-  | Some st -> State.get st [ 0L ]
+  | Some st -> State.get st [| 0L |]
   | None -> 0L

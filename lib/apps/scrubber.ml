@@ -25,5 +25,5 @@ let block_rule ~src =
 
 let scrubbed_count dev =
   match Targets.Device.map_state dev "scrubbed" with
-  | Some st -> Flexbpf.State.get st [ 0L ]
+  | Some st -> Flexbpf.State.get st [| 0L |]
   | None -> 0L

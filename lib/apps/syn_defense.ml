@@ -56,7 +56,7 @@ let replica ~index ?threshold () =
 
 let dropped_count dev =
   match Targets.Device.map_state dev "syn_dropped" with
-  | Some st -> Flexbpf.State.get st [ 0L ]
+  | Some st -> Flexbpf.State.get st [| 0L |]
   | None -> 0L
 
 (** Offered SYN load toward [dst]: the larger of the current and the
@@ -67,6 +67,6 @@ let syn_rate_of dev ~dst ~now_us =
   | Some st ->
     let w = Int64.div now_us (Int64.of_int window_us) in
     Int64.max
-      (Flexbpf.State.get st [ dst; w ])
-      (Flexbpf.State.get st [ dst; Int64.sub w 1L ])
+      (Flexbpf.State.get st [| dst; w |])
+      (Flexbpf.State.get st [| dst; Int64.sub w 1L |])
   | None -> 0L

@@ -25,5 +25,5 @@ let program ?(owner = "infra") () =
 
 let flow_count dev ~src ~dst =
   match Targets.Device.map_state dev "flow_bytes" with
-  | Some st -> Flexbpf.State.get st [ src; dst ]
+  | Some st -> Flexbpf.State.get st [| src; dst |]
   | None -> 0L

@@ -22,12 +22,12 @@ val remove_rules : t -> table:string -> (Flexbpf.Ast.rule -> bool) -> int
 val rules : t -> table:string -> Flexbpf.Ast.rule list
 
 (** Read one map cell (a "counter read"). *)
-val read_counter : t -> map:string -> key:int64 list -> int64 option
+val read_counter : t -> map:string -> key:Flexbpf.State.key -> int64 option
 
 (** Dump a whole map; accounted one call per [chunk] entries. *)
-val dump_map : ?chunk:int -> t -> map:string -> (int64 list * int64) list
+val dump_map : ?chunk:int -> t -> map:string -> (Flexbpf.State.key * int64) list
 
-val write_counter : t -> map:string -> key:int64 list -> int64 -> bool
+val write_counter : t -> map:string -> key:Flexbpf.State.key -> int64 -> bool
 
 (** Table hit/miss and parser statistics of the device. *)
 val hit_stats : t -> (string * int) list

@@ -31,7 +31,8 @@ type env = {
   mutable page_in : string -> State.key -> (unit -> unit) -> unit;
       (* demand-paging hook: [page_in table key commit] asks the
          runtime to fault [key]'s binding into [table]'s device tier;
-         calling [commit] performs the promotion. The default commits
+         calling [commit] performs the promotion. [key] is a copy the
+         hook may keep (an async commit). The default commits
          immediately (deterministic, no runtime); [Runtime.Drpc]
          rebinds it so promotion rides the dRPC timeout/backoff
          machinery — a dropped page means no promotion, never a wrong
@@ -169,7 +170,7 @@ let rec eval env ~params pkt = function
      | Some v -> v
      | None -> error "unbound parameter $%s" p)
   | Map_get (m, keys) ->
-    State.get (env_map env m) (List.map (eval env ~params pkt) keys)
+    State.get (env_map env m) (eval_key env ~params pkt keys)
   (* logical operators short-circuit, so a guard like
      [has_vlan && vlan.vid == N] never evaluates fields of absent
      headers *)
@@ -197,6 +198,10 @@ let rec eval env ~params pkt = function
      | Crc32 -> crc32 data
      | Identity -> (match data with [ x ] -> x | _ -> crc32 data))
   | Time -> env.now_us
+
+(* Map keys left to right, as the compiled path fills its buffers. *)
+and eval_key env ~params pkt keys =
+  Array.of_list (List.map (eval env ~params pkt) keys)
 
 and eval_binop op x y =
   match op with
@@ -235,17 +240,17 @@ let rec exec_stmt env ~params pkt verdict = function
   | Map_put (m, keys, e) ->
     env.work <- env.work + 2;
     State.put (env_map env m)
-      (List.map (eval env ~params pkt) keys)
+      (eval_key env ~params pkt keys)
       (eval env ~params pkt e)
   | Map_incr (m, keys, e) ->
     env.work <- env.work + 2;
     ignore
       (State.incr (env_map env m)
-         (List.map (eval env ~params pkt) keys)
+         (eval_key env ~params pkt keys)
          (eval env ~params pkt e))
   | Map_del (m, keys) ->
     env.work <- env.work + 2;
-    State.del (env_map env m) (List.map (eval env ~params pkt) keys)
+    State.del (env_map env m) (eval_key env ~params pkt keys)
   | If (c, th, el) ->
     env.work <- env.work + 1;
     if truthy (eval env ~params pkt c) then exec_stmts env ~params pkt verdict th

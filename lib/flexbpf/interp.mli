@@ -30,9 +30,11 @@ type env = {
          interpreter is the authoritative (host-tier) reference. *)
   mutable page_in : string -> State.key -> (unit -> unit) -> unit;
       (* demand-paging hook: [page_in table key commit]; [commit]
-         performs the promotion into the device tier. Defaults to an
-         immediate commit; [Runtime.Drpc.bind_paging] reroutes it over
-         dRPC so drops delay promotion, never correctness. *)
+         performs the promotion into the device tier. [key] is the
+         caller's own copy, so the hook may hold it past the call.
+         Defaults to an immediate commit; [Runtime.Drpc.bind_paging]
+         reroutes it over dRPC so drops delay promotion, never
+         correctness. *)
   mutable stats : Netsim.Stats.Counters.t;
   mutable work : int;
       (* cumulative executed work units on the [Analysis.stmt_cost]

@@ -12,9 +12,29 @@
     - {b Flow-state ISA}: explicit insertion; once full, writes to
       unknown keys are rejected (counted as overflow).
     - {b Stateful table}: data-plane auto-insert with LRU eviction when
-      full (Spectrum-style flow caching). *)
+      full (Spectrum-style flow caching).
 
-type key = int64 list
+    {b Key buffers.} A key is an [int64 array], and every operation
+    treats the caller's array as read-only and borrowed: lookups hash
+    and compare its contents, and an insert stores a copy. The compiled
+    datapath can therefore pass one reused buffer per access site
+    without allocating per packet. Keys handed out ([entries],
+    [snapshot], [Tier.keys]) are the stores' own copies and must not be
+    mutated. *)
+
+type key = int64 array
+
+(** Hash table keyed by key contents: [find] and [mem] only read the
+    probe key ([find] raises [Not_found]); [add] stores a copy of an
+    absent key. *)
+module Key_tbl : sig
+  type 'a t
+
+  val create : int -> 'a t
+  val find : 'a t -> key -> 'a
+  val mem : 'a t -> key -> bool
+  val add : 'a t -> key -> 'a -> unit
+end
 
 type concrete = Registers | Flow_state | Stateful_table
 
@@ -96,13 +116,14 @@ module Tier : sig
   val demotions : 'a t -> int
 
   (** Probe the device tier; a hit refreshes the binding's LRU rank.
-      Bumps the hit/miss telemetry. *)
-  val find : 'a t -> key -> 'a option
+      Bumps the hit/miss telemetry.
+      @raise Not_found on a miss. *)
+  val find : 'a t -> key -> 'a
 
   val mem : 'a t -> key -> bool
 
   (** Install (or refresh) a binding, demoting the LRU victim when the
-      tier is full. *)
+      tier is full. Hits, promotions and evictions are O(1). *)
   val promote : 'a t -> key -> 'a -> unit
 
   (** Drop one binding (rule deletion / priority-update hygiene). *)

@@ -103,11 +103,13 @@ let set_meta t key v =
   | None -> Hashtbl.add t.meta key (ref v)
 
 (** The cell bound to [key], created (holding 0) if absent — for code
-    that writes the same key repeatedly and wants to cache the cell. *)
+    that writes the same key repeatedly and wants to cache the cell.
+    [find], not [find_opt]: the key is usually present, and an option
+    would allocate on every call. *)
 let meta_cell t key =
-  match Hashtbl.find_opt t.meta key with
-  | Some c -> c
-  | None ->
+  match Hashtbl.find t.meta key with
+  | c -> c
+  | exception Not_found ->
     let c = ref 0L in
     Hashtbl.add t.meta key c;
     c

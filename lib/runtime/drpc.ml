@@ -186,10 +186,11 @@ let bind_paging ?(latency = 20e-6) ?timeout ?max_retries t device =
           ~attrs:
             [ ("table", Obs.Trace.S table);
               ("device", Obs.Trace.S dev_id);
-              ("key_arity", Obs.Trace.I (List.length key)) ]
+              ("key_arity", Obs.Trace.I (Array.length key)) ]
       in
       Netsim.Stats.Counters.incr t.stats "table.faults";
-      invoke_dataplane t ?timeout ?max_retries page_service key ~k:(fun res ->
+      invoke_dataplane t ?timeout ?max_retries page_service
+        (Array.to_list key) ~k:(fun res ->
           let ok = res <> None in
           if ok then commit ()
           else Netsim.Stats.Counters.incr t.stats "table.fault_drops";

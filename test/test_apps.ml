@@ -77,7 +77,7 @@ let test_firewall_statefulness () =
   let other = tcp_pkt ~src:200L ~dst:5L ~sport:81L ~dport:1234L () in
   let r4 = Interp.run env prog other in
   check "other inbound still denied" true r4.Interp.verdict.Interp.dropped;
-  check_i64 "denials counted" 2L (State.get (Interp.env_map env "fw_denied") [ 0L ])
+  check_i64 "denials counted" 2L (State.get (Interp.env_map env "fw_denied") [| 0L |])
 
 (* -- Count-min sketch ------------------------------------------------------------ *)
 
@@ -178,7 +178,7 @@ let test_syn_defense_window_resets () =
     ignore (Interp.run env prog (syn ~src:(Int64.of_int i) ~dst:9L))
   done;
   check "window 0 over threshold" true
-    (State.get (Interp.env_map env "syn_rate") [ 9L; 0L ] > 50L);
+    (State.get (Interp.env_map env "syn_rate") [| 9L; 0L |] > 50L);
   (* advance past the 100ms window: counters keyed by new window *)
   env.Interp.now_us <- 200_000L;
   let r = Interp.run env prog (syn ~src:4242L ~dst:9L) in
@@ -194,7 +194,7 @@ let test_scrubber_blocklist () =
   check "blocked source dropped" true r.Interp.verdict.Interp.dropped;
   let r2 = Interp.run env prog (tcp_pkt ~src:7L ~dst:1L ()) in
   check "clean source passes" false r2.Interp.verdict.Interp.dropped;
-  check_i64 "scrub counter" 1L (State.get (Interp.env_map env "scrubbed") [ 0L ])
+  check_i64 "scrub counter" 1L (State.get (Interp.env_map env "scrubbed") [| 0L |])
 
 (* -- Load balancer ----------------------------------------------------------------------- *)
 
@@ -277,7 +277,7 @@ let test_rate_limiter_polices () =
   done;
   check_int "burst capped at bucket depth" 10 !passed;
   check_i64 "policed counted" 40L
-    (State.get (Interp.env_map env "tb_policed") [ 0L ]);
+    (State.get (Interp.env_map env "tb_policed") [| 0L |]);
   (* after one second at 100 pps, ~100 more tokens accumulated *)
   env.Interp.now_us <- 2_000_000L;
   let passed2 = ref 0 in
@@ -316,7 +316,7 @@ let test_telemetry_counts_and_stamps () =
   check_i64 "timestamp stamped" 777L
     (Netsim.Packet.meta_default pkt "last_hop_us" 0L);
   check_i64 "flow counted" 2L
-    (State.get (Interp.env_map env "flow_bytes") [ 1L; 2L ])
+    (State.get (Interp.env_map env "flow_bytes") [| 1L; 2L |])
 
 (* -- Congestion control (interpreted FlexBPF) ----------------------------------------------------- *)
 

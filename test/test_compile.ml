@@ -8,7 +8,9 @@
    - unit tests that rule install/remove keeps the hash index and the
      pre-sorted candidate lists consistent, including across a device's
      freeze/thaw two-version swap (Runtime.Reconfig's mechanism);
-   - the install-time rule-arity validation regression test. *)
+   - the install-time rule-arity validation regression test;
+   - key-buffer aliasing: a map update keyed by a read of the same map;
+   - the allocation gate: exact minor-heap words per compiled run. *)
 
 open Flexbpf
 open Flexbpf.Builder
@@ -77,6 +79,15 @@ let stmt_gen =
                 (int_bound 15) expr_gen;
               map (fun k -> Ast.Map_del ("m0", [ Ast.Const (Int64.of_int k) ]))
                 (int_bound 31);
+              (* a key that reads the map being updated: the compiled
+                 path fills one key buffer per access site, and the
+                 inner read must not disturb the outer key *)
+              map3
+                (fun two k e ->
+                  if two then
+                    Ast.Map_incr ("m1", [ k; Ast.Map_get ("m1", [ k; k ]) ], e)
+                  else Ast.Map_incr ("m0", [ Ast.Map_get ("m0", [ k ]) ], e))
+                bool key_expr_gen expr_gen;
               map (fun e -> Ast.Forward e) expr_gen;
               map (fun d -> Ast.Punt d) (oneofl [ "alpha"; "beta" ]);
               map (fun args -> Ast.Call ("svc", args))
@@ -417,6 +428,35 @@ let prop_recompile_transparent =
         ops
       && envs_agree prog env_a env_b)
 
+(* The self-referencing update [incr m [get(m, dst)]] under every
+   encoding: the inner read and the outer update fill different key
+   buffers, so compiled state must match the interpreter's packet by
+   packet, inserts (which copy the outer buffer) included. *)
+let test_incr_keyed_by_own_get () =
+  List.iter
+    (fun (name, encoding) ->
+      let prog =
+        program "self"
+          ~maps:[ map_decl ~encoding ~key_arity:1 ~size:4 "m" ]
+          [ block "b" [ map_incr "m" [ map_get "m" [ field "ipv4" "dst" ] ] ] ]
+      in
+      let env_a = Interp.create_env prog and env_b = Interp.create_env prog in
+      let compiled = Compile.compile env_b prog in
+      for i = 0 to 39 do
+        let spec =
+          { with_vlan = false; with_ipv4 = true; l4 = 1; src = 1;
+            dst = i mod 6; sport = 1; dport = 2 }
+        in
+        let ra = Interp.run env_a prog (mk_pkt spec)
+        and rb = Compile.run compiled (mk_pkt spec) in
+        check "same verdict" true (results_agree ra rb);
+        check
+          (Printf.sprintf "%s: same map after packet %d" name i)
+          true (envs_agree prog env_a env_b)
+      done)
+    [ ("registers", Ast.Enc_registers); ("flow_state", Ast.Enc_flow_state);
+      ("stateful_table", Ast.Enc_stateful_table) ]
+
 (* -- Install-time arity validation (regression) ------------------------------- *)
 
 let two_key_prog =
@@ -630,12 +670,107 @@ let test_frozen_program_isolated () =
   Targets.Device.thaw dev;
   check_port "after thaw the table is gone" None (exec 2)
 
+(* -- Allocation gate ----------------------------------------------------------- *)
+
+(* Minor-heap words per [Compile.run] after warm-up, exact in native
+   code ([Gc.minor_words] counts this domain's allocation and does not
+   allocate itself). Lookups, keys, map state and the device tier
+   allocate nothing; each ceiling is the documented residual:
+   - 8: the fresh [Interp.verdict] (4) and [result] record (4), paid
+     by every run;
+   - 3 per boxed [Int64] result: l2l3's TTL decrement and port
+     counter add; count-min's column and counter add, per row;
+   - 3: l2l3's [punt "l2_miss"] cons (no L2 rules installed).
+   The bytecode backend boxes differently, so only native runs are
+   gated. *)
+let words_per_run compiled pkts ~before =
+  let n = 2000 in
+  let go () =
+    for i = 0 to n - 1 do
+      let j = i mod Array.length pkts in
+      before j;
+      ignore (Compile.run compiled pkts.(j))
+    done
+  in
+  go ();
+  let w0 = Gc.minor_words () in
+  go ();
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let gate name ~ceiling words =
+  if Sys.backend_type = Sys.Native then
+    check
+      (Printf.sprintf "%s: %.2f words/run <= %d" name words ceiling)
+      true
+      (words <= float_of_int ceiling)
+
+(* 64 packets, one per destination 1..64 *)
+let gate_pkts () =
+  Array.init 64 (fun i ->
+      Netsim.Traffic.tcp_packet ~src:(100 + i) ~dst:(i + 1) ~sport:1024
+        ~dport:80 ~born:0. ())
+
+(* each packet's TTL cell, written in place between runs (l2l3
+   decrements it; [Packet.set_field] would allocate) *)
+let ttl_cells pkts =
+  Array.map
+    (fun p ->
+      match Netsim.Packet.header p "ipv4" with
+      | Some h -> List.assoc "ttl" h.Netsim.Packet.fields
+      | None -> assert false)
+    pkts
+
+let test_allocation_gate () =
+  let pkts = gate_pkts () in
+  (* l2l3: /24 routes, no ACL or L2 rules *)
+  let prog = Apps.L2l3.program () in
+  let env = Interp.create_env prog in
+  Interp.install_rule env "ipv4_lpm"
+    (rule ~priority:1 ~matches:[ lpm_i 0 24 ] ~action:("route", [ 3 ]) ());
+  let ttls = ttl_cells pkts in
+  gate "l2l3" ~ceiling:17
+    (words_per_run (Compile.compile env prog) pkts ~before:(fun j ->
+         ttls.(j) := 64L));
+  (* count-min, depth 3 *)
+  let prog = Apps.Cm_sketch.program () in
+  gate "count-min" ~ceiling:26
+    (words_per_run (Compile.compile (Interp.create_env prog) prog) pkts
+       ~before:ignore);
+  (* exact forwarding, every destination installed *)
+  let fwd_env () =
+    let env = Interp.create_env (program "fwd" [ fwd_table ]) in
+    for d = 1 to 64 do
+      Interp.install_rule env "t"
+        (rule ~matches:[ exact_i d ] ~action:("fwd", [ d ]) ())
+    done;
+    env
+  in
+  let prog = program "fwd" [ fwd_table ] in
+  gate "flat exact table" ~ceiling:8
+    (words_per_run (Compile.compile (fwd_env ()) prog) pkts ~before:ignore);
+  (* the same table with a device tier that holds the working set:
+     after warm-up every lookup is a device-tier hit *)
+  let env = fwd_env () in
+  Interp.set_tier_capacity env "t" 64;
+  let compiled = Compile.compile env prog in
+  gate "tiered table, device-tier hits" ~ceiling:8
+    (words_per_run compiled pkts ~before:ignore);
+  match Compile.tier_stats compiled with
+  | [ s ] -> Alcotest.(check int) "warm-up took every miss" 64 s.Compile.ts_misses
+  | _ -> Alcotest.fail "expected one tiered table"
+
 let () =
   Alcotest.run "compile"
     [ ( "differential",
         [ to_alcotest prop_compiled_equals_interpreted;
           to_alcotest prop_tiered_equals_interpreted;
           to_alcotest prop_recompile_transparent ] );
+      ( "key_buffers",
+        [ Alcotest.test_case "incr keyed by a get of the same map" `Quick
+            test_incr_keyed_by_own_get ] );
+      ( "allocation",
+        [ Alcotest.test_case "words per run at the residual" `Quick
+            test_allocation_gate ] );
       ( "install_validation",
         [ Alcotest.test_case "rule arity checked" `Quick
             test_install_arity_validated ] );

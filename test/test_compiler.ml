@@ -303,7 +303,7 @@ let test_replace_carries_state () =
   | Ok dep ->
     let dev = Option.get (Compiler.Placement.where dep.Compiler.Incremental.dep_placement "cnt") in
     (match Targets.Device.map_state dev "hits" with
-     | Some st -> Flexbpf.State.put st [ 0L ] 77L
+     | Some st -> Flexbpf.State.put st [| 0L |] 77L
      | None -> Alcotest.fail "map missing");
     let counter2 = block "cnt" [ map_incr "hits" [ const 1 ] ] in
     let patch =
@@ -318,7 +318,7 @@ let test_replace_carries_state () =
        in
        (match Targets.Device.map_state dev' "hits" with
         | Some st ->
-          Alcotest.(check int64) "state carried over" 77L (Flexbpf.State.get st [ 0L ])
+          Alcotest.(check int64) "state carried over" 77L (Flexbpf.State.get st [| 0L |])
         | None -> Alcotest.fail "map missing after replace"))
 
 let test_incremental_beats_full_recompile () =

@@ -66,9 +66,9 @@ let test_device_api_rules () =
           (rule ~matches:[] ~action:("out", []) ())));
   (* counters *)
   check "write counter" true
-    (Control.Device_api.write_counter api ~map:"cnt" ~key:[ 0L ] 5L);
+    (Control.Device_api.write_counter api ~map:"cnt" ~key:[| 0L |] 5L);
   Alcotest.(check (option int64)) "read counter" (Some 5L)
-    (Control.Device_api.read_counter api ~map:"cnt" ~key:[ 0L ]);
+    (Control.Device_api.read_counter api ~map:"cnt" ~key:[| 0L |]);
   check_int "removed" 1
     (Control.Device_api.remove_rules api ~table:"fwd" (fun _ -> true));
   (* every call was accounted with control-plane latency *)
@@ -483,7 +483,7 @@ let test_controller_migrates_stateful_app () =
   app.Control.Controller.handle <- Some (Runtime.Migration.create s0);
   (* accumulate state on s0 *)
   (match Targets.Device.map_state s0 "cms" with
-   | Some st -> Flexbpf.State.put st [ 0L; 5L ] 42L
+   | Some st -> Flexbpf.State.put st [| 0L; 5L |] 42L
    | None -> Alcotest.fail "sketch map missing");
   let migrated = ref false in
   (match
@@ -499,7 +499,7 @@ let test_controller_migrates_stateful_app () =
     (Control.Controller.app_locations ctl uri);
   (match Targets.Device.map_state s2 "cms" with
    | Some st ->
-     Alcotest.(check int64) "state travelled" 42L (Flexbpf.State.get st [ 0L; 5L ])
+     Alcotest.(check int64) "state travelled" 42L (Flexbpf.State.get st [| 0L; 5L |])
    | None -> Alcotest.fail "map missing at destination")
 
 let test_controller_expand_map () =

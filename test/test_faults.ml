@@ -495,6 +495,48 @@ let test_paging_recovers_after_window () =
   check "windowed drops counted" true
     (Netsim.Stats.Counters.get (Runtime.Drpc.stats reg) "table.fault_drops" > 0)
 
+(* Tiered lookups fill one key buffer per table that every packet
+   reuses. Three misses are taken before any page completes, so each
+   commit runs after later packets have refilled the buffer: every
+   promotion must still land under the key that missed, with that
+   key's winner. *)
+let test_delayed_page_keeps_missed_key () =
+  let sim = Netsim.Sim.create () in
+  let dev = Targets.Device.create ~id:"s0" Targets.Arch.drmt in
+  let tbl = tier_table "t" in
+  (match Targets.Device.install dev ~ctx:(program "fwd" [ tbl ]) ~order:0 tbl with
+   | Ok _ -> ()
+   | Error r -> Alcotest.failf "install: %s" (Targets.Device.reject_to_string r));
+  let env = Targets.Device.env dev in
+  for d = 1 to 8 do
+    Flexbpf.Interp.install_rule env "t"
+      (rule ~matches:[ exact_i d ] ~action:("fwd", [ 10 + d ]) ())
+  done;
+  Flexbpf.Interp.set_tier_capacity env "t" 4;
+  let reg = Runtime.Drpc.create sim in
+  Runtime.Drpc.bind_paging ~latency:1e-3 reg dev;
+  List.iter
+    (fun d ->
+      check "miss served by the host tier" true
+        (tier_lookup dev (Int64.of_int d) = Some (10 + d)))
+    [ 1; 2; 3 ];
+  check_int "no page has committed yet" 0
+    (List.length (Targets.Device.tier_resident_keys dev "t"));
+  ignore (Netsim.Sim.run sim);
+  Alcotest.(check (list (list int64)))
+    "each page landed under its own key"
+    [ [ 1L ]; [ 2L ]; [ 3L ] ]
+    (Targets.Device.tier_resident_keys dev "t"
+     |> List.map Array.to_list |> List.sort compare);
+  List.iter
+    (fun d ->
+      check "resident binding forwards to its own port" true
+        (tier_lookup dev (Int64.of_int d) = Some (10 + d)))
+    [ 1; 2; 3 ];
+  match Targets.Device.tier_stats dev with
+  | [ s ] -> check_int "the re-lookups hit the device tier" 3 s.Flexbpf.Compile.ts_hits
+  | _ -> Alcotest.fail "expected one tiered table"
+
 (* -- Move migrates both tiers; a crash mid-move keeps old-XOR-new --------- *)
 
 let move_fixture ~crash =
@@ -712,6 +754,8 @@ let () =
             test_paging_full_drop_host_serves;
           Alcotest.test_case "promotions resume after drop window" `Quick
             test_paging_recovers_after_window;
+          Alcotest.test_case "delayed page lands under the missed key" `Quick
+            test_delayed_page_keeps_missed_key;
           Alcotest.test_case "move carries both tiers" `Quick
             test_move_carries_both_tiers;
           Alcotest.test_case "crash mid-move: old XOR new tiers" `Quick

@@ -158,46 +158,46 @@ let test_state_basic_ops () =
   List.iter
     (fun enc ->
       let s = State.create ~name:"m" ~size:128 enc in
-      State.put s [ 1L ] 10L;
-      check_i64 (State.concrete_to_string enc ^ " get") 10L (State.get s [ 1L ]);
-      ignore (State.incr s [ 1L ] 5L);
-      check_i64 (State.concrete_to_string enc ^ " incr") 15L (State.get s [ 1L ]);
-      State.del s [ 1L ];
-      check_i64 (State.concrete_to_string enc ^ " del") 0L (State.get s [ 1L ]))
+      State.put s [| 1L |] 10L;
+      check_i64 (State.concrete_to_string enc ^ " get") 10L (State.get s [| 1L |]);
+      ignore (State.incr s [| 1L |] 5L);
+      check_i64 (State.concrete_to_string enc ^ " incr") 15L (State.get s [| 1L |]);
+      State.del s [| 1L |];
+      check_i64 (State.concrete_to_string enc ^ " del") 0L (State.get s [| 1L |]))
     all_encodings
 
 let test_registers_alias () =
   let s = State.create ~name:"m" ~size:1 State.Registers in
-  State.put s [ 1L ] 10L;
-  State.put s [ 2L ] 20L;
-  check_i64 "collision overwrote" 20L (State.get s [ 2L ]);
-  check_i64 "old key reads aliased slot" 20L (State.get s [ 1L ])
+  State.put s [| 1L |] 10L;
+  State.put s [| 2L |] 20L;
+  check_i64 "collision overwrote" 20L (State.get s [| 2L |]);
+  check_i64 "old key reads aliased slot" 20L (State.get s [| 1L |])
 
 let test_flow_state_overflow () =
   let s = State.create ~name:"m" ~size:2 State.Flow_state in
-  State.put s [ 1L ] 1L;
-  State.put s [ 2L ] 2L;
-  State.put s [ 3L ] 3L;
-  check_i64 "overflow write dropped" 0L (State.get s [ 3L ]);
+  State.put s [| 1L |] 1L;
+  State.put s [| 2L |] 2L;
+  State.put s [| 3L |] 3L;
+  check_i64 "overflow write dropped" 0L (State.get s [| 3L |]);
   check_int "overflow counted" 1 (State.overflows s);
-  State.put s [ 1L ] 9L;
-  check_i64 "existing key still writable" 9L (State.get s [ 1L ])
+  State.put s [| 1L |] 9L;
+  check_i64 "existing key still writable" 9L (State.get s [| 1L |])
 
 let test_stateful_table_evicts_lru () =
   let s = State.create ~name:"m" ~size:2 State.Stateful_table in
-  State.put s [ 1L ] 1L;
-  State.put s [ 2L ] 2L;
-  ignore (State.get s [ 1L ]);
-  State.put s [ 3L ] 3L;
-  check_i64 "lru evicted" 0L (State.get s [ 2L ]);
-  check_i64 "recent survives" 1L (State.get s [ 1L ]);
-  check_i64 "new inserted" 3L (State.get s [ 3L ]);
+  State.put s [| 1L |] 1L;
+  State.put s [| 2L |] 2L;
+  ignore (State.get s [| 1L |]);
+  State.put s [| 3L |] 3L;
+  check_i64 "lru evicted" 0L (State.get s [| 2L |]);
+  check_i64 "recent survives" 1L (State.get s [| 1L |]);
+  check_i64 "new inserted" 3L (State.get s [| 3L |]);
   check_int "eviction counted" 1 (State.evictions s)
 
 let test_snapshot_roundtrip_across_encodings () =
   let src = State.create ~name:"m" ~size:64 State.Stateful_table in
   for i = 1 to 20 do
-    State.put src [ Int64.of_int i ] (Int64.of_int (i * 10))
+    State.put src [| Int64.of_int i |] (Int64.of_int (i * 10))
   done;
   let snap = State.snapshot src in
   List.iter
@@ -213,12 +213,12 @@ let test_snapshot_roundtrip_across_encodings () =
 let test_merge_add () =
   let a = State.create ~name:"m" ~size:16 State.Stateful_table in
   let b = State.create ~name:"m" ~size:16 State.Stateful_table in
-  State.put a [ 1L ] 5L;
-  State.put b [ 1L ] 3L;
-  State.put b [ 2L ] 7L;
+  State.put a [| 1L |] 5L;
+  State.put b [| 1L |] 3L;
+  State.put b [| 2L |] 7L;
   State.merge_add a (State.snapshot b);
-  check_i64 "summed" 8L (State.get a [ 1L ]);
-  check_i64 "new key folded in" 7L (State.get a [ 2L ])
+  check_i64 "summed" 8L (State.get a [| 1L |]);
+  check_i64 "new key folded in" 7L (State.get a [| 2L |])
 
 (* -- Interpreter ------------------------------------------------------------- *)
 
@@ -232,7 +232,7 @@ let test_interp_counts () =
   ignore (Interp.run env counting_program (pkt ()));
   ignore (Interp.run env counting_program (pkt ()));
   check_i64 "two packets counted" 2L
-    (State.get (Interp.env_map env "hits") [ 7L ])
+    (State.get (Interp.env_map env "hits") [| 7L |])
 
 let test_interp_parser_reject () =
   let prog =
@@ -341,7 +341,7 @@ let test_interp_loop_index () =
   ignore (Interp.run env prog (mk_packet ()));
   let m = Interp.env_map env "seen" in
   check "all indices visited" true
-    (List.for_all (fun i -> State.get m [ Int64.of_int i ] = 1L) [ 0; 1; 2; 3 ])
+    (List.for_all (fun i -> State.get m [| Int64.of_int i |] = 1L) [ 0; 1; 2; 3 ])
 
 let test_interp_push_pop_header () =
   let prog = program "vlan_push" [ block "b" [ Ast.Push_header "vlan" ] ] in
@@ -577,7 +577,7 @@ let test_vlan_guard () =
     in
     Netsim.Packet.set_meta outside_tagged "vlan_vid" 7L;
     ignore (Interp.run env merged outside_tagged);
-    let denied () = State.get (Interp.env_map env "acme/fw_denied") [ 0L ] in
+    let denied () = State.get (Interp.env_map env "acme/fw_denied") [| 0L |] in
     check_i64 "tenant fw denies unestablished inbound on its vlan" 1L (denied ());
     let outside_untagged = mk_packet ~src:200L ~dst:1L () in
     Netsim.Packet.set_meta outside_untagged "vlan_vid" 0L;

@@ -1,6 +1,7 @@
 (* Property-based tests (qcheck) on the core data structures and
    invariants: event-queue ordering, state-encoding agreement and
-   snapshot roundtrips, pattern matching, expression totality, patch
+   snapshot roundtrips, the slot LRU against the tick-and-fold model it
+   replaced, pattern matching, expression totality, patch
    reversibility, sketch soundness, placement conservation, and glob
    semantics. *)
 
@@ -52,9 +53,9 @@ let apply_ops st ops =
   List.iter
     (fun op ->
       match op with
-      | Put (k, v) -> State.put st [ Int64.of_int k ] (Int64.of_int v)
-      | Incr (k, v) -> ignore (State.incr st [ Int64.of_int k ] (Int64.of_int v))
-      | Del k -> State.del st [ Int64.of_int k ])
+      | Put (k, v) -> State.put st [| Int64.of_int k |] (Int64.of_int v)
+      | Incr (k, v) -> ignore (State.incr st [| Int64.of_int k |] (Int64.of_int v))
+      | Del k -> State.del st [| Int64.of_int k |])
     ops
 
 (* With capacity above the key range, flow-state and stateful-table
@@ -90,6 +91,199 @@ let prop_registers_subset =
       List.for_all
         (fun (k, _) -> List.mem k exact_keys)
         (State.entries regs))
+
+(* -- LRU: slot list against the tick-and-fold reference ----------------------- *)
+
+(* The LRU the stores used before the slot list, kept as the reference
+   model: every binding carries the tick of its last touch, and an
+   insert into a full store folds the whole table for the smallest
+   tick. Keys are lists, as they were then, so the snapshot order
+   ([List.sort compare] over list keys) is checked too. *)
+module Ref_lru = struct
+  type cell = { mutable v : int64; mutable touched : int }
+
+  type t = {
+    tbl : (int64 list, cell) Hashtbl.t;
+    mutable cap : int;
+    mutable tick : int;
+    mutable evictions : int;
+  }
+
+  let create cap = { tbl = Hashtbl.create 8; cap; tick = 0; evictions = 0 }
+
+  let touch t c =
+    t.tick <- t.tick + 1;
+    c.touched <- t.tick
+
+  let find t k =
+    match Hashtbl.find_opt t.tbl k with
+    | Some c -> touch t c; Some c.v
+    | None -> None
+
+  let evict_lru t =
+    let victim =
+      Hashtbl.fold
+        (fun k c acc ->
+          match acc with
+          | Some (_, best) when best <= c.touched -> acc
+          | _ -> Some (k, c.touched))
+        t.tbl None
+    in
+    match victim with
+    | Some (k, _) ->
+      Hashtbl.remove t.tbl k;
+      t.evictions <- t.evictions + 1
+    | None -> ()
+
+  (* store [f old] (old = 0 when absent), touching or inserting *)
+  let update t k f =
+    match Hashtbl.find_opt t.tbl k with
+    | Some c -> c.v <- f c.v; touch t c
+    | None ->
+      if Hashtbl.length t.tbl >= t.cap then evict_lru t;
+      t.tick <- t.tick + 1;
+      Hashtbl.replace t.tbl k { v = f 0L; touched = t.tick }
+
+  let remove t k =
+    let present = Hashtbl.mem t.tbl k in
+    Hashtbl.remove t.tbl k;
+    present
+
+  let entries t =
+    Hashtbl.fold (fun k c acc -> (k, c.v) :: acc) t.tbl [] |> List.sort compare
+end
+
+type lru_op =
+  | L_get of int64 list
+  | L_put of int64 list * int
+  | L_incr of int64 list * int
+  | L_del of int64 list
+  | L_flush of int option
+
+(* keys of arity 0-2 over a small range, so stores fill, evict, and
+   hold keys that are prefixes of one another *)
+let lru_key_gen =
+  QCheck.Gen.(list_size (int_bound 2) (map Int64.of_int (int_bound 3)))
+
+let lru_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (4, map (fun k -> L_get k) lru_key_gen);
+        (3, map2 (fun k v -> L_put (k, v)) lru_key_gen (int_bound 100));
+        (3, map2 (fun k v -> L_incr (k, v)) lru_key_gen (int_bound 100));
+        (2, map (fun k -> L_del k) lru_key_gen);
+        (1, map (fun c -> L_flush c) (opt (int_range 1 6))) ])
+
+let lru_arb =
+  let key k = "[" ^ String.concat "," (List.map Int64.to_string k) ^ "]" in
+  QCheck.make
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "cap=%d: %s" cap
+        (String.concat "; "
+           (List.map
+              (function
+                | L_get k -> "get " ^ key k
+                | L_put (k, v) -> Printf.sprintf "put %s %d" (key k) v
+                | L_incr (k, v) -> Printf.sprintf "incr %s %d" (key k) v
+                | L_del k -> "del " ^ key k
+                | L_flush c ->
+                  "flush " ^ Option.fold ~none:"" ~some:string_of_int c)
+              ops)))
+    QCheck.Gen.(pair (int_range 1 6) (list_size (int_bound 80) lru_op_gen))
+
+let snapshot_lists st =
+  List.map (fun (k, v) -> (Array.to_list k, v)) (State.snapshot st).State.snap_entries
+
+(* The stateful-table store evicts exactly the reference's victims:
+   same reads, same resident entries in the same snapshot order, same
+   eviction count, after every operation. Flush clears the store. *)
+let prop_stateful_lru_matches_reference =
+  QCheck.Test.make ~name:"stateful table LRU = tick-and-fold reference"
+    ~count:500 lru_arb (fun (cap, ops) ->
+      let st = State.create ~name:"m" ~size:cap State.Stateful_table in
+      let r = Ref_lru.create cap in
+      List.for_all
+        (fun op ->
+          let same_read =
+            match op with
+            | L_get k ->
+              State.get st (Array.of_list k)
+              = Option.value (Ref_lru.find r k) ~default:0L
+            | L_put (k, v) ->
+              State.put st (Array.of_list k) (Int64.of_int v);
+              Ref_lru.update r k (fun _ -> Int64.of_int v);
+              true
+            | L_incr (k, v) ->
+              let d = Int64.of_int v in
+              let got = State.incr st (Array.of_list k) d in
+              Ref_lru.update r k (Int64.add d);
+              got = (Hashtbl.find r.Ref_lru.tbl k).Ref_lru.v
+            | L_del k ->
+              State.del st (Array.of_list k);
+              ignore (Ref_lru.remove r k);
+              true
+            | L_flush _ ->
+              State.clear st;
+              Hashtbl.reset r.Ref_lru.tbl;
+              true
+          in
+          same_read
+          && snapshot_lists st = Ref_lru.entries r
+          && State.evictions st = r.Ref_lru.evictions)
+        ops)
+
+(* The device tier against the same reference: find/promote/demote/
+   flush (with resizes) must keep the same resident set and the same
+   hit, miss, promotion, eviction and demotion counts. *)
+let prop_tier_lru_matches_reference =
+  QCheck.Test.make ~name:"device-tier LRU = tick-and-fold reference"
+    ~count:500 lru_arb (fun (cap, ops) ->
+      let t = State.Tier.create ~cap in
+      let r = Ref_lru.create cap in
+      let hits = ref 0 and misses = ref 0 and promotions = ref 0
+      and demotions = ref 0 in
+      List.for_all
+        (fun op ->
+          let same_read =
+            match op with
+            | L_get k ->
+              let got =
+                match State.Tier.find t (Array.of_list k) with
+                | v -> Some v
+                | exception Not_found -> None
+              in
+              let want = Ref_lru.find r k in
+              if want = None then incr misses else incr hits;
+              got = want
+            | L_put (k, v) | L_incr (k, v) ->
+              State.Tier.promote t (Array.of_list k) (Int64.of_int v);
+              if not (Hashtbl.mem r.Ref_lru.tbl k) then incr promotions;
+              let before = r.Ref_lru.evictions in
+              Ref_lru.update r k (fun _ -> Int64.of_int v);
+              demotions := !demotions + r.Ref_lru.evictions - before;
+              true
+            | L_del k ->
+              State.Tier.demote t (Array.of_list k);
+              if Ref_lru.remove r k then incr demotions;
+              true
+            | L_flush cap ->
+              State.Tier.flush ?cap t;
+              demotions := !demotions + Hashtbl.length r.Ref_lru.tbl;
+              Hashtbl.reset r.Ref_lru.tbl;
+              Option.iter (fun c -> r.Ref_lru.cap <- c) cap;
+              true
+          in
+          same_read
+          && List.sort compare (List.map Array.to_list (State.Tier.keys t))
+             = List.map fst (Ref_lru.entries r)
+          && State.Tier.resident t = Hashtbl.length r.Ref_lru.tbl
+          && State.Tier.capacity t = r.Ref_lru.cap
+          && State.Tier.hits t = !hits
+          && State.Tier.misses t = !misses
+          && State.Tier.promotions t = !promotions
+          && State.Tier.evictions t = r.Ref_lru.evictions
+          && State.Tier.demotions t = !demotions)
+        ops)
 
 (* -- Pattern matching --------------------------------------------------------- *)
 
@@ -562,7 +756,9 @@ let () =
       ( "state",
         [ to_alcotest prop_encodings_agree;
           to_alcotest prop_snapshot_roundtrip;
-          to_alcotest prop_registers_subset ] );
+          to_alcotest prop_registers_subset;
+          to_alcotest prop_stateful_lru_matches_reference;
+          to_alcotest prop_tier_lru_matches_reference ] );
       ( "patterns",
         [ to_alcotest prop_lpm_matches_self;
           to_alcotest prop_lpm_prefix_semantics;

@@ -74,7 +74,7 @@ let test_program_executes_on_path () =
   check_i64 "program counted transit packets" 2L
     (Flexbpf.State.get
        (Option.get (Targets.Device.map_state s1 "hits"))
-       [ Int64.of_int h1.Netsim.Node.id ])
+       [| Int64.of_int h1.Netsim.Node.id |])
 
 let test_program_drop_applies () =
   let sim, topo, h0, h1, devs, _wireds, received = wired_net () in
@@ -344,8 +344,8 @@ let test_drpc_standard_services () =
   (* accumulate on d0 *)
   (match Targets.Device.map_state d0 "repl" with
    | Some st ->
-     Flexbpf.State.put st [ 1L ] 30L;
-     Flexbpf.State.put st [ 2L ] 12L
+     Flexbpf.State.put st [| 1L |] 30L;
+     Flexbpf.State.put st [| 2L |] 12L
    | None -> Alcotest.fail "map missing");
   check_i64 "read_counter sums d0" 42L
     (Runtime.Drpc.invoke_inline reg "read_counter" [ 0L ]);

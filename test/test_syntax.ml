@@ -78,7 +78,7 @@ let test_parsed_program_runs () =
     let r = Interp.run env p pkt in
     check "firewall logic live from text" true r.Interp.verdict.Interp.dropped;
     Alcotest.(check int64) "denied counted" 1L
-      (State.get (Interp.env_map env "denied") [ 0L ])
+      (State.get (Interp.env_map env "denied") [| 0L |])
 
 let test_parse_errors_positioned () =
   let cases =
