@@ -30,13 +30,6 @@ let congested () =
   let bottleneck = Option.get (Netsim.Node.link h0 ~port:0) in
   (sim, h0, h1, bottleneck)
 
-let mean_depth link =
-  let pts = Netsim.Stats.Series.to_list (Netsim.Link.depth_series link) in
-  if pts = [] then 0.
-  else
-    List.fold_left (fun acc (_, v) -> acc +. v) 0. pts
-    /. float_of_int (List.length pts)
-
 let run_workload cc_block workload =
   let sim, h0, h1, bottleneck = congested () in
   let stack = Netsim.Transport.create ~rto:0.02 sim in
@@ -72,7 +65,7 @@ let run_workload cc_block workload =
   let retx =
     List.fold_left (fun acc f -> acc + f.Netsim.Transport.retransmits) 0 flows
   in
-  (fct, retx, mean_depth bottleneck, Netsim.Link.drops bottleneck)
+  (fct, retx, Netsim.Link.mean_depth bottleneck, Netsim.Link.drops bottleneck)
 
 let run () =
   let ccs =

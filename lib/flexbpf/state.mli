@@ -18,18 +18,20 @@
     treats the caller's array as read-only and borrowed: lookups hash
     and compare its contents, and an insert stores a copy. The compiled
     datapath can therefore pass one reused buffer per access site
-    without allocating per packet. Keys handed out ([entries],
-    [snapshot], [Tier.keys]) are the stores' own copies and must not be
-    mutated. *)
+    without allocating per packet. Registers keep their own copies of
+    keys, which [entries] and [snapshot] hand out and which must not be
+    mutated; the keyed stores keep key words inline and hand out fresh
+    arrays. *)
 
 type key = int64 array
 
 (** Hash table keyed by key contents: [find] and [mem] only read the
-    probe key ([find] raises [Not_found]); [add] stores a copy of an
-    absent key. *)
+    probe key ([find] raises [Not_found]); [add] stores a copy of a key
+    that must be absent. *)
 module Key_tbl : sig
   type 'a t
 
+  (** [create n] sizes the table for [n] keys; it grows past that. *)
   val create : int -> 'a t
   val find : 'a t -> key -> 'a
   val mem : 'a t -> key -> bool
@@ -66,6 +68,9 @@ val incr : t -> key -> int64 -> int64
 
 val del : t -> key -> unit
 
+(** Resident entries: registers in slot order, flow state in entry
+    order (insertion order until a deletion frees an entry for reuse),
+    stateful tables least recently used first. *)
 val entries : t -> (key * int64) list
 val size : t -> int
 
@@ -133,6 +138,8 @@ module Tier : sig
       keeping cumulative telemetry; [cap] resizes the tier. *)
   val flush : ?cap:int -> 'a t -> unit
 
-  (** Resident keys, unordered — the hot set carried by migration. *)
+  (** Resident keys, least recently used first — the hot set carried
+      by migration, so promoting them in order onto another tier
+      replays this tier's recency. *)
   val keys : 'a t -> key list
 end

@@ -29,7 +29,8 @@ type t = {
   drops : int ref;
   fault_drops : int ref;
   ecn_marks : int ref;
-  depth_series : Stats.Series.t;
+  mutable depth_sum : int; (* queue depth summed over enqueues *)
+  mutable enqueues : int;
 }
 
 let create ~sim ~name ?(bandwidth = 10e9) ?(delay = 1e-6) ?(queue_capacity = 256)
@@ -42,7 +43,7 @@ let create ~sim ~name ?(bandwidth = 10e9) ?(delay = 1e-6) ?(queue_capacity = 256
     extra_delay = 0.; tx_packets = c "link.tx_packets";
     tx_bytes = c "link.tx_bytes"; drops = c "link.drops";
     fault_drops = c "link.fault_drops"; ecn_marks = c "link.ecn_marks";
-    depth_series = Stats.Series.create () }
+    depth_sum = 0; enqueues = 0 }
 
 let name t = t.name
 let set_deliver t f = t.deliver <- f
@@ -63,7 +64,10 @@ let fault_drops t = !(t.fault_drops)
 let tx_packets t = !(t.tx_packets)
 let tx_bytes t = !(t.tx_bytes)
 let ecn_marks t = !(t.ecn_marks)
-let depth_series t = t.depth_series
+
+let mean_depth t =
+  if t.enqueues = 0 then 0.
+  else float_of_int t.depth_sum /. float_of_int t.enqueues
 
 let serialization_time t (pkt : Packet.t) =
   float_of_int (pkt.Packet.size * 8) /. t.bandwidth
@@ -101,7 +105,8 @@ let transmit t pkt =
     let departure = start +. serialization_time t pkt in
     t.busy_until <- departure;
     t.depth <- t.depth + 1;
-    Stats.Series.add t.depth_series ~time:now ~value:(float_of_int t.depth);
+    t.depth_sum <- t.depth_sum + t.depth;
+    t.enqueues <- t.enqueues + 1;
     Sim.at t.sim departure (fun () ->
         t.depth <- t.depth - 1;
         incr t.tx_packets;

@@ -34,6 +34,10 @@ val has_header : t -> string -> bool
 
 val field : t -> string -> string -> int64 option
 
+(** The field's value, [default] when the header or field is absent;
+    allocates nothing (per-hop code). *)
+val field_default : t -> string -> string -> int64 -> int64
+
 (** @raise Invalid_argument when the field is absent. *)
 val field_exn : t -> string -> string -> int64
 
@@ -90,7 +94,8 @@ val tcp_flag_fin : int64
 (** Canonical (src, dst, proto, sport, dport) tuple. *)
 val five_tuple : t -> int64 * int64 * int64 * int64 * int64
 
-(** Deterministic hash of the five-tuple (ECMP, flow tables). *)
+(** Deterministic hash of the five-tuple (ECMP, flow tables):
+    [abs (Hashtbl.hash (five_tuple t))], computed without allocating. *)
 val flow_hash : t -> int
 
 val pp : Format.formatter -> t -> unit

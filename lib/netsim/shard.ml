@@ -595,19 +595,19 @@ module Fat_tree = struct
 
   let route net ~node ~dst pkt =
     if dst < 0 || dst >= Array.length net.ft_role || net.ft_role.(dst) <> r_host
-    then None
+    then -1
     else begin
       let half = net.ft_k / 2 in
       let dp = net.ft_c1.(dst) and de = net.ft_c2.(dst) and di = net.ft_c3.(dst) in
       match net.ft_role.(node) with
-      | 0 (* host *) -> Some 0
+      | 0 (* host *) -> 0
       | 1 (* edge *) ->
-        if net.ft_c1.(node) = dp && net.ft_c2.(node) = de then Some (half + di)
-        else Some (Packet.flow_hash pkt mod half)
+        if net.ft_c1.(node) = dp && net.ft_c2.(node) = de then half + di
+        else Packet.flow_hash pkt mod half
       | 2 (* agg *) ->
-        if net.ft_c1.(node) = dp then Some de
-        else Some (half + (Packet.flow_hash pkt mod half))
-      | _ (* core *) -> Some dp
+        if net.ft_c1.(node) = dp then de
+        else half + (Packet.flow_hash pkt mod half)
+      | _ (* core *) -> dp
     end
 
   let install net view ~on_switch ~on_deliver =
@@ -621,13 +621,9 @@ module Fat_tree = struct
           else
             Node.set_handler node (fun n ~in_port:_ pkt ->
                 on_switch n pkt;
-                let dst =
-                  match Packet.field pkt "ipv4" "dst" with
-                  | Some d -> Int64.to_int d
-                  | None -> -1
-                in
-                match route net ~node:id ~dst pkt with
-                | Some port -> Node.send n ~port pkt
-                | None -> n.Node.dropped <- n.Node.dropped + 1))
+                let dst = Int64.to_int (Packet.field_default pkt "ipv4" "dst" (-1L)) in
+                let port = route net ~node:id ~dst pkt in
+                if port >= 0 then Node.send n ~port pkt
+                else n.Node.dropped <- n.Node.dropped + 1))
       view.sh_nodes
 end

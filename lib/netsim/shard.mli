@@ -174,8 +174,8 @@ module Fat_tree : sig
   val pod_hosts : net -> int -> Spec.node array
 
   (** Next-hop port at switch [node] toward host [dst] (flow-hash ECMP
-      on the up-paths); [None] when [dst] is not a host id. *)
-  val route : net -> node:Spec.node -> dst:Spec.node -> Packet.t -> int option
+      on the up-paths); -1 when [dst] is not a host id. *)
+  val route : net -> node:Spec.node -> dst:Spec.node -> Packet.t -> int
 
   (** Install routing handlers on every node the view owns:
       switches call [on_switch] (the per-switch datapath hook) then

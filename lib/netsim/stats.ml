@@ -91,17 +91,3 @@ module Counters = struct
     Fmt.pf ppf "%a" Fmt.(list ~sep:(any " ") (pair ~sep:(any "=") string int))
       (to_list t)
 end
-
-(** Time series sampled by experiments (e.g. queue depth over time). *)
-module Series = struct
-  type t = { mutable points : (float * float) list }
-
-  let create () = { points = [] }
-  let add t ~time ~value = t.points <- (time, value) :: t.points
-  let to_list t = List.rev t.points
-
-  let max_value t =
-    List.fold_left (fun acc (_, v) -> Stdlib.max acc v) neg_infinity t.points
-
-  let last t = match t.points with [] -> None | (ti, v) :: _ -> Some (ti, v)
-end

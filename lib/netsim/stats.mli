@@ -50,17 +50,3 @@ module Counters : sig
 
   val pp : Format.formatter -> t -> unit
 end
-
-(** Time series sampled by experiments (e.g. queue depth over time). *)
-module Series : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> time:float -> value:float -> unit
-
-  (** In insertion (time) order. *)
-  val to_list : t -> (float * float) list
-
-  val max_value : t -> float
-  val last : t -> (float * float) option
-end

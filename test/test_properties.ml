@@ -160,10 +160,21 @@ type lru_op =
   | L_del of int64 list
   | L_flush of int option
 
-(* keys of arity 0-2 over a small range, so stores fill, evict, and
-   hold keys that are prefixes of one another *)
+(* Keys of arity 0-2 over a small word pool, so stores fill, evict,
+   and hold keys that are prefixes of one another. The pool mixes small
+   values with ones that differ only above bit 32 or in the sign, which
+   a weak hash folds together; capacities up to 48 make the index
+   resize several times and hold long probe runs, and deletes are
+   frequent enough to shift those runs back. *)
+let lru_word_pool =
+  [| 0L; 1L; 2L; 3L; 0x1_0000_0000L; 0x3_0000_0000L; -1L; Int64.min_int |]
+
 let lru_key_gen =
-  QCheck.Gen.(list_size (int_bound 2) (map Int64.of_int (int_bound 3)))
+  QCheck.Gen.(
+    list_size (int_bound 2)
+      (map (fun i -> lru_word_pool.(i)) (int_bound (Array.length lru_word_pool - 1))))
+
+let lru_cap_gen = QCheck.Gen.(oneof [ int_range 1 6; int_range 7 48 ])
 
 let lru_op_gen =
   QCheck.Gen.(
@@ -171,8 +182,8 @@ let lru_op_gen =
       [ (4, map (fun k -> L_get k) lru_key_gen);
         (3, map2 (fun k v -> L_put (k, v)) lru_key_gen (int_bound 100));
         (3, map2 (fun k v -> L_incr (k, v)) lru_key_gen (int_bound 100));
-        (2, map (fun k -> L_del k) lru_key_gen);
-        (1, map (fun c -> L_flush c) (opt (int_range 1 6))) ])
+        (3, map (fun k -> L_del k) lru_key_gen);
+        (1, map (fun c -> L_flush c) (opt lru_cap_gen)) ])
 
 let lru_arb =
   let key k = "[" ^ String.concat "," (List.map Int64.to_string k) ^ "]" in
@@ -189,7 +200,7 @@ let lru_arb =
                 | L_flush c ->
                   "flush " ^ Option.fold ~none:"" ~some:string_of_int c)
               ops)))
-    QCheck.Gen.(pair (int_range 1 6) (list_size (int_bound 80) lru_op_gen))
+    QCheck.Gen.(pair lru_cap_gen (list_size (int_bound 200) lru_op_gen))
 
 let snapshot_lists st =
   List.map (fun (k, v) -> (Array.to_list k, v)) (State.snapshot st).State.snap_entries
@@ -284,6 +295,88 @@ let prop_tier_lru_matches_reference =
           && State.Tier.evictions t = r.Ref_lru.evictions
           && State.Tier.demotions t = !demotions)
         ops)
+
+(* -- Flow state and the rule index against a Hashtbl ------------------------- *)
+
+(* The flow-state store against a bounded [Hashtbl]: same reads and
+   [incr] results, same overflow count, same resident set after every
+   operation. Flushes clear both; the overflow count is cumulative. *)
+let prop_flow_state_matches_hashtbl =
+  QCheck.Test.make ~name:"flow state = bounded Hashtbl reference" ~count:500
+    lru_arb (fun (cap, ops) ->
+      let st = State.create ~name:"m" ~size:cap State.Flow_state in
+      let r = Hashtbl.create 8 and overflow = ref 0 in
+      let write k v =
+        if Hashtbl.mem r k || Hashtbl.length r < cap then Hashtbl.replace r k v
+        else incr overflow
+      in
+      List.for_all
+        (fun op ->
+          let same_read =
+            match op with
+            | L_get k ->
+              State.get st (Array.of_list k)
+              = Option.value (Hashtbl.find_opt r k) ~default:0L
+            | L_put (k, v) ->
+              State.put st (Array.of_list k) (Int64.of_int v);
+              write k (Int64.of_int v);
+              true
+            | L_incr (k, v) ->
+              let d = Int64.of_int v in
+              let want =
+                Int64.add d (Option.value (Hashtbl.find_opt r k) ~default:0L)
+              in
+              write k want;
+              State.incr st (Array.of_list k) d = want
+            | L_del k ->
+              State.del st (Array.of_list k);
+              Hashtbl.remove r k;
+              true
+            | L_flush _ ->
+              State.clear st;
+              Hashtbl.reset r;
+              true
+          in
+          same_read
+          && State.overflows st = !overflow
+          && State.size st = Hashtbl.length r
+          && snapshot_lists st
+             = List.sort compare (List.of_seq (Hashtbl.to_seq r)))
+        ops)
+
+(* The exact-match rule index is insert-only: adds of absent keys (a
+   present key keeps its first binding, as the compiler's first-in-
+   priority-order rule wins) interleaved with finds of arbitrary keys,
+   from a size hint smaller or larger than what is added. *)
+let prop_key_tbl_matches_hashtbl =
+  QCheck.Test.make ~name:"Key_tbl = Hashtbl reference" ~count:500
+    QCheck.(
+      make
+        Gen.(
+          pair (int_bound 40)
+            (list_size (int_bound 200) (pair bool (list_size (int_bound 3)
+               (map (fun i -> lru_word_pool.(i))
+                  (int_bound (Array.length lru_word_pool - 1))))))))
+    (fun (hint, ops) ->
+      let t = State.Key_tbl.create hint and r = Hashtbl.create 8 in
+      let agrees k =
+        let got =
+          match State.Key_tbl.find t (Array.of_list k) with
+          | v -> Some v
+          | exception Not_found -> None
+        in
+        got = Hashtbl.find_opt r k
+        && State.Key_tbl.mem t (Array.of_list k) = Hashtbl.mem r k
+      in
+      List.for_all
+        (fun (i, (add, k)) ->
+          if add && not (Hashtbl.mem r k) then begin
+            State.Key_tbl.add t (Array.of_list k) i;
+            Hashtbl.replace r k i
+          end;
+          agrees k)
+        (List.mapi (fun i op -> (i, op)) ops)
+      && List.for_all (fun (_, k) -> agrees k) ops)
 
 (* -- Pattern matching --------------------------------------------------------- *)
 
@@ -591,6 +684,47 @@ let prop_ecmp_port_valid =
       | Some p -> List.mem p hops
       | None -> false)
 
+(* [flow_hash] re-derives the runtime's tuple hash without building the
+   tuple; ECMP paths and seeded digests depend on the two agreeing bit
+   for bit. Packets carry tcp, udp, both or neither, with or without
+   ipv4, and field values that are negative or exceed 32 bits. *)
+let flow_hash_field_gen =
+  QCheck.Gen.(
+    oneof
+      [ map Int64.of_int (int_range (-5) 70_000);
+        map Int64.of_int int;
+        map2
+          (fun hi lo ->
+            Int64.logor (Int64.shift_left (Int64.of_int hi) 32)
+              (Int64.of_int (lo land 0xFFFF_FFFF)))
+          int int ])
+
+let flow_hash_pkt_gen =
+  QCheck.Gen.(
+    let f = flow_hash_field_gen in
+    let ip =
+      opt (map3 (fun src dst proto -> Netsim.Packet.ipv4 ~src ~dst ~proto ()) f f f)
+    in
+    let tcp = map2 (fun sport dport -> Netsim.Packet.tcp ~sport ~dport ()) f f in
+    let udp = map2 (fun sport dport -> Netsim.Packet.udp ~sport ~dport ()) f f in
+    let l4 =
+      oneof
+        [ return []; map (fun h -> [ h ]) tcp; map (fun h -> [ h ]) udp;
+          map2 (fun u t -> [ u; t ]) udp tcp ]
+    in
+    map2
+      (fun ip l4 ->
+        Netsim.Packet.create
+          ((Netsim.Packet.ethernet ~src:1L ~dst:2L () :: Option.to_list ip) @ l4))
+      ip l4)
+
+let prop_flow_hash_is_tuple_hash =
+  QCheck.Test.make ~name:"flow_hash = tuple hash of five_tuple" ~count:1000
+    (QCheck.make ~print:(Fmt.to_to_string Netsim.Packet.pp) flow_hash_pkt_gen)
+    (fun p ->
+      Netsim.Packet.flow_hash p
+      = abs (Hashtbl.hash (Netsim.Packet.five_tuple p)))
+
 (* -- Merge cross product ----------------------------------------------------------------------------- *)
 
 let prop_merge_rule_count =
@@ -758,7 +892,9 @@ let () =
           to_alcotest prop_snapshot_roundtrip;
           to_alcotest prop_registers_subset;
           to_alcotest prop_stateful_lru_matches_reference;
-          to_alcotest prop_tier_lru_matches_reference ] );
+          to_alcotest prop_tier_lru_matches_reference;
+          to_alcotest prop_flow_state_matches_hashtbl;
+          to_alcotest prop_key_tbl_matches_hashtbl ] );
       ( "patterns",
         [ to_alcotest prop_lpm_matches_self;
           to_alcotest prop_lpm_prefix_semantics;
@@ -782,7 +918,9 @@ let () =
       ( "device",
         [ to_alcotest prop_install_uninstall_identity;
           to_alcotest prop_defragment_preserves_contents ] );
-      ( "ecmp", [ to_alcotest prop_ecmp_port_valid ] );
+      ( "ecmp",
+        [ to_alcotest prop_ecmp_port_valid;
+          to_alcotest prop_flow_hash_is_tuple_hash ] );
       ( "merge", [ to_alcotest prop_merge_rule_count ] );
       ( "syntax",
         [ to_alcotest prop_full_roundtrip ] );
