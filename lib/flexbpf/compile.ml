@@ -854,7 +854,7 @@ let build_index env (ct : ctable) =
   let auth =
     match sorted with
     | _ :: _ when List.for_all all_exact sorted ->
-      let h = State.Key_tbl.create (2 * List.length sorted) in
+      let h = State.Key_tbl.create (List.length sorted) in
       (* first in sorted order wins a duplicate key tuple *)
       List.iter
         (fun pre ->
