@@ -8,7 +8,7 @@
 open Flexbpf.Builder
 
 let run_mode mode =
-  let sim, _topo, h0, h1, _devs, wireds, received = Common.wired_linear () in
+  let sim, _topo, h0, h1, devs, wireds, received = Common.wired_linear () in
   let sent = ref 0 in
   let gen = Netsim.Traffic.create sim in
   Netsim.Traffic.cbr gen ~rate_pps:10_000. ~start:0. ~stop:2.0 ~send:(fun () ->
@@ -26,10 +26,9 @@ let run_mode mode =
   in
   let duration = ref 0. in
   Netsim.Sim.at sim 1.0 (fun () ->
-      Runtime.Reconfig.execute_plan ~sim ~mode ~wireds ~plan
+      Runtime.Reconfig.execute ~sim ~mode ~wireds ~devices:devs plan
         ~on_done:(fun o ->
-          duration := o.Runtime.Reconfig.finished_at -. o.Runtime.Reconfig.started_at)
-        ());
+          duration := o.Runtime.Reconfig.finished_at -. o.Runtime.Reconfig.started_at));
   ignore (Netsim.Sim.run sim);
   let lost = !sent - !received in
   (!sent, !received, lost, !duration)

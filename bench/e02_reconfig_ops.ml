@@ -28,12 +28,11 @@ let consistency_check arch =
   let t1 = Common.exact_table ~size:16 "t1" in
   let prog1 = program "p1" [ t0; t1 ] in
   Netsim.Sim.at sim 0.2 (fun () ->
-      Runtime.Reconfig.execute_plan ~sim ~mode:Runtime.Reconfig.Hitless ~wireds
-        ~plan:
-          (Compiler.Plan.v "add"
-             [ Compiler.Plan.Install
-                 { device = Targets.Device.id dev; element = t1; ctx = prog1; order = 1 } ])
-        ());
+      Runtime.Reconfig.execute ~sim ~mode:Runtime.Reconfig.Hitless ~wireds
+        ~devices:devs
+        (Compiler.Plan.v "add"
+           [ Compiler.Plan.Install
+               { device = Targets.Device.id dev; element = t1; ctx = prog1; order = 1 } ]));
   ignore (Netsim.Sim.run sim);
   let v_new = Targets.Device.version dev in
   List.for_all (fun e -> e = v_old || e = v_new) !epochs

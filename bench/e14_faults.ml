@@ -81,12 +81,11 @@ let run_case ~mode plan =
       [ Compiler.Plan.Install
           { device = "s1"; element = counter; ctx = prog; order = 0 } ]
   in
-  let stats = Netsim.Stats.Counters.create () in
   let outcome = ref None in
   Netsim.Sim.at sim 1.0 (fun () ->
-      Runtime.Reconfig.execute_plan ~sim ~mode ~wireds ~plan:plan_ ~max_retries:3
-        ~retry_backoff:0.02 ~stats
-        ~on_done:(fun o -> outcome := Some o) ());
+      Runtime.Reconfig.execute ~sim ~mode ~wireds ~devices:devs plan_
+        ~max_retries:3 ~retry_backoff:0.02
+        ~on_done:(fun o -> outcome := Some o));
   ignore (Netsim.Sim.run sim);
   let o = Option.get !outcome in
   let installed = List.mem "cnt" (Targets.Device.installed_names s1) in
@@ -101,8 +100,8 @@ let run_case ~mode plan =
     attempts = o.Runtime.Reconfig.attempts;
     rolled_back = o.Runtime.Reconfig.rolled_back;
     consistent;
-    drpc_retries = Netsim.Stats.Counters.get (Runtime.Drpc.stats reg) "drpc.retries";
-    drpc_gaveups = Netsim.Stats.Counters.get (Runtime.Drpc.stats reg) "drpc.gaveups" }
+    drpc_retries = Obs.Metrics.get_counter (Runtime.Drpc.stats reg) "drpc.retries";
+    drpc_gaveups = Obs.Metrics.get_counter (Runtime.Drpc.stats reg) "drpc.gaveups" }
 
 (* Deploy (not patch) under a crash: the plan comes from the pure
    placement planner over the wired path and runs through the same
@@ -135,12 +134,11 @@ let run_deploy_case ~mode fault_plan =
     | Error _ -> failwith "deploy planning failed"
   in
   let plan_ = planned.Compiler.Placement.pln_plan in
-  let stats = Netsim.Stats.Counters.create () in
   let outcome = ref None in
   Netsim.Sim.at sim 1.0 (fun () ->
-      Runtime.Reconfig.execute_plan ~sim ~mode ~wireds ~plan:plan_
-        ~max_retries:3 ~retry_backoff:0.02 ~stats
-        ~on_done:(fun o -> outcome := Some o) ());
+      Runtime.Reconfig.execute ~sim ~mode ~wireds ~devices:devs plan_
+        ~max_retries:3 ~retry_backoff:0.02
+        ~on_done:(fun o -> outcome := Some o));
   ignore (Netsim.Sim.run sim);
   let o = Option.get !outcome in
   (* old-XOR-new per device: a device hosts its full planned element

@@ -61,7 +61,7 @@ let overhead_rows () =
 (* -- part 2: reconfig durations from the trace -------------------------- *)
 
 let traced_reconfig mode =
-  let sim, _topo, h0, h1, _devs, wireds, received = Common.wired_linear () in
+  let sim, _topo, h0, h1, devs, wireds, received = Common.wired_linear () in
   let sent = ref 0 in
   let gen = Netsim.Traffic.create sim in
   Netsim.Traffic.cbr gen ~rate_pps:10_000. ~start:0. ~stop:2.0 ~send:(fun () ->
@@ -79,7 +79,7 @@ let traced_reconfig mode =
           { device = "s1"; element = counter; ctx = prog; order = 0 } ]
   in
   Netsim.Sim.at sim 1.0 (fun () ->
-      Runtime.Reconfig.execute_plan ~sim ~mode ~wireds ~plan ());
+      Runtime.Reconfig.execute ~sim ~mode ~wireds ~devices:devs plan);
   ignore (Netsim.Sim.run sim);
   (Obs.Scope.trace (Netsim.Sim.obs sim), !sent, !received)
 

@@ -306,6 +306,38 @@ let arch_arg =
 let switches_arg =
   Arg.(value & opt int 3 & info [ "switches" ] ~docv:"N" ~doc:"Switch count")
 
+(* The built-in runtime patch: insert flow telemetry before routing. *)
+let telemetry_patch =
+  Flexbpf.Patch.v "add-telemetry"
+    [ Flexbpf.Patch.Add_map Apps.Telemetry.flow_bytes_map;
+      Flexbpf.Patch.Add_element
+        (Flexbpf.Patch.Before (Flexbpf.Patch.Sel_name "ipv4_lpm"),
+         Apps.Telemetry.flow_counter) ]
+
+(* The demo scenario shared by demo, metrics and trace: deploy the
+   infrastructure on [net], send 1000 pps CBR h0 -> h1 for 2 s, and
+   apply the telemetry patch hitlessly at t=1. Returns the sent-packet
+   count; the caller runs the network. *)
+let demo_scenario ?on_done net =
+  (match Flexnet.deploy_infrastructure net with
+   | Ok _ -> ()
+   | Error e -> failwith e);
+  let sim = Flexnet.sim net in
+  let h0 = Flexnet.h0 net and h1 = Flexnet.h1 net in
+  let sent = ref 0 in
+  let gen = Netsim.Traffic.create sim in
+  Netsim.Traffic.cbr gen ~rate_pps:1000. ~start:0. ~stop:2.0 ~send:(fun () ->
+      incr sent;
+      Flexnet.send_h0 net
+        (Netsim.Traffic.tcp_packet ~src:h0.Netsim.Node.id
+           ~dst:h1.Netsim.Node.id ~sport:1234 ~dport:80
+           ~born:(Netsim.Sim.now sim) ()));
+  Netsim.Sim.at sim 1.0 (fun () ->
+      match Flexnet.patch_hitless net telemetry_patch ?on_done with
+      | Ok _ -> ()
+      | Error e -> Fmt.epr "patch failed: %a@." Compiler.Incremental.pp_error e);
+  sent
+
 (* -- plan --------------------------------------------------------------- *)
 
 let json_escape s =
@@ -388,12 +420,7 @@ let plan_cmd =
     let dep = Flexnet.deployment_exn net in
     let patch =
       match file with
-      | None ->
-        Flexbpf.Patch.v "add-telemetry"
-          [ Flexbpf.Patch.Add_map Apps.Telemetry.flow_bytes_map;
-            Flexbpf.Patch.Add_element
-              (Flexbpf.Patch.Before (Flexbpf.Patch.Sel_name "ipv4_lpm"),
-               Apps.Telemetry.flow_counter) ]
+      | None -> telemetry_patch
       | Some path ->
         let src = In_channel.with_open_text path In_channel.input_all in
         (match Flexbpf.Syntax.load src with
@@ -492,39 +519,17 @@ let plan_cmd =
 let demo_cmd =
   let run arch switches =
     let net = Flexnet.create ~arch ~switches () in
-    (match Flexnet.deploy_infrastructure net with
-     | Ok dep ->
-       Printf.printf "deployed %d elements over %d devices\n"
-         (List.length dep.Compiler.Incremental.dep_placement.Compiler.Placement.where)
-         (List.length (Flexnet.path net))
-     | Error e -> failwith e);
-    let sim = Flexnet.sim net in
-    let h0 = Flexnet.h0 net and h1 = Flexnet.h1 net in
-    let sent = ref 0 in
-    let gen = Netsim.Traffic.create sim in
-    Netsim.Traffic.cbr gen ~rate_pps:1000. ~start:0. ~stop:2.0 ~send:(fun () ->
-        incr sent;
-        Flexnet.send_h0 net
-          (Netsim.Traffic.tcp_packet ~src:h0.Netsim.Node.id
-             ~dst:h1.Netsim.Node.id ~sport:1234 ~dport:80
-             ~born:(Netsim.Sim.now sim) ()));
-    let patch =
-      Flexbpf.Patch.v "add-telemetry"
-        [ Flexbpf.Patch.Add_map Apps.Telemetry.flow_bytes_map;
-          Flexbpf.Patch.Add_element
-            (Flexbpf.Patch.Before (Flexbpf.Patch.Sel_name "ipv4_lpm"),
-             Apps.Telemetry.flow_counter) ]
+    let sent =
+      demo_scenario net ~on_done:(fun r ->
+          Printf.printf "t=%.3fs: hitless patch done (%.0f ms, devices %s)\n"
+            (Netsim.Sim.now (Flexnet.sim net))
+            (1000. *. r.Compiler.Incremental.duration)
+            (String.concat "," r.Compiler.Incremental.touched_devices))
     in
-    Netsim.Sim.at sim 1.0 (fun () ->
-        match
-          Flexnet.patch_hitless net patch ~on_done:(fun r ->
-              Printf.printf "t=%.3fs: hitless patch done (%.0f ms, devices %s)\n"
-                (Netsim.Sim.now sim)
-                (1000. *. r.Compiler.Incremental.duration)
-                (String.concat "," r.Compiler.Incremental.touched_devices))
-        with
-        | Ok _ -> ()
-        | Error e -> Fmt.epr "patch failed: %a@." Compiler.Incremental.pp_error e);
+    let dep = Flexnet.deployment_exn net in
+    Printf.printf "deployed %d elements over %d devices\n"
+      (List.length dep.Compiler.Incremental.dep_placement.Compiler.Placement.where)
+      (List.length (Flexnet.path net));
     Flexnet.run net ~until:3.0;
     let stats = Flexnet.stats net in
     Printf.printf "sent %d, delivered %d, reconfig drops %d\n" !sent
@@ -544,32 +549,11 @@ let demo_cmd =
    series and spans. *)
 let observed_workload ~arch ~switches =
   let net = Flexnet.create ~arch ~switches () in
-  (match Flexnet.deploy_infrastructure net with
-   | Ok _ -> ()
-   | Error e -> failwith e);
-  let sim = Flexnet.sim net in
-  let h0 = Flexnet.h0 net and h1 = Flexnet.h1 net in
-  let gen = Netsim.Traffic.create sim in
-  Netsim.Traffic.cbr gen ~rate_pps:1000. ~start:0. ~stop:2.0 ~send:(fun () ->
-      Flexnet.send_h0 net
-        (Netsim.Traffic.tcp_packet ~src:h0.Netsim.Node.id
-           ~dst:h1.Netsim.Node.id ~sport:1234 ~dport:80
-           ~born:(Netsim.Sim.now sim) ()));
-  let patch =
-    Flexbpf.Patch.v "add-telemetry"
-      [ Flexbpf.Patch.Add_map Apps.Telemetry.flow_bytes_map;
-        Flexbpf.Patch.Add_element
-          (Flexbpf.Patch.Before (Flexbpf.Patch.Sel_name "ipv4_lpm"),
-           Apps.Telemetry.flow_counter) ]
-  in
-  Netsim.Sim.at sim 1.0 (fun () ->
-      match Flexnet.patch_hitless net patch with
-      | Ok _ -> ()
-      | Error e -> Fmt.epr "patch failed: %a@." Compiler.Incremental.pp_error e);
+  ignore (demo_scenario net);
   let drpc = Flexnet.drpc net in
   Runtime.Drpc.register_standard drpc ~fleet:(Flexnet.path net)
     ~map_name:"flow_bytes";
-  Netsim.Sim.at sim 1.5 (fun () ->
+  Netsim.Sim.at (Flexnet.sim net) 1.5 (fun () ->
       for _ = 1 to 5 do
         Runtime.Drpc.invoke_dataplane drpc "heartbeat" [] ~k:(fun _ -> ())
       done);
@@ -898,10 +882,10 @@ let tables_cmd =
     done;
     let stats = Flexbpf.Compile.tier_stats compiled in
     let logical_hits =
-      Netsim.Stats.Counters.get env.Flexbpf.Interp.stats (tbl_name ^ ".hit")
+      Obs.Metrics.get_counter env.Flexbpf.Interp.stats (tbl_name ^ ".hit")
     in
     let logical_misses =
-      Netsim.Stats.Counters.get env.Flexbpf.Interp.stats (tbl_name ^ ".miss")
+      Obs.Metrics.get_counter env.Flexbpf.Interp.stats (tbl_name ^ ".miss")
     in
     let ratio h m =
       if h + m = 0 then 1. else float_of_int h /. float_of_int (h + m)

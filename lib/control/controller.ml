@@ -91,10 +91,6 @@ let register_app t ~uri ~kind ~program ~replicas =
 
 let lookup t uri = Hashtbl.find_opt t.apps (Uri.to_string uri)
 
-let unregister_app t uri =
-  journal t ("unregister " ^ Uri.to_string uri);
-  Hashtbl.remove t.apps (Uri.to_string uri)
-
 let app_locations t uri =
   match lookup t uri with
   | None -> []

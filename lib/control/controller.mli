@@ -38,7 +38,6 @@ val register_app :
   replicas:Targets.Device.t list -> app
 
 val lookup : t -> Uri.t -> app option
-val unregister_app : t -> Uri.t -> unit
 
 (** Device ids hosting the app. *)
 val app_locations : t -> Uri.t -> string list

@@ -56,16 +56,6 @@ let read_counter t ~map ~key =
   | None -> None
   | Some st -> Some (Flexbpf.State.get st key)
 
-(** Read a whole map (a table dump — costs one call per chunk). *)
-let dump_map ?(chunk = 128) t ~map =
-  match Targets.Device.map_state t.device map with
-  | None -> []
-  | Some st ->
-    let entries = Flexbpf.State.entries st in
-    let chunks = (List.length entries + chunk - 1) / max 1 chunk in
-    for _ = 1 to max 1 chunks do account t done;
-    entries
-
 (** Write one map cell. *)
 let write_counter t ~map ~key value =
   account t;
@@ -74,7 +64,3 @@ let write_counter t ~map ~key value =
   | Some st ->
     Flexbpf.State.put st key value;
     true
-
-let hit_stats t =
-  account t;
-  Netsim.Stats.Counters.to_list (Targets.Device.env t.device).Flexbpf.Interp.stats

@@ -24,10 +24,5 @@ val rules : t -> table:string -> Flexbpf.Ast.rule list
 (** Read one map cell (a "counter read"). *)
 val read_counter : t -> map:string -> key:Flexbpf.State.key -> int64 option
 
-(** Dump a whole map; accounted one call per [chunk] entries. *)
-val dump_map : ?chunk:int -> t -> map:string -> (Flexbpf.State.key * int64) list
-
 val write_counter : t -> map:string -> key:Flexbpf.State.key -> int64 -> bool
 
-(** Table hit/miss and parser statistics of the device. *)
-val hit_stats : t -> (string * int) list

@@ -1,16 +1,11 @@
 (** Elastic scaling policies (§1.1): defenses and apps "dynamically
     scale in and out based on attack traffic volume".
 
-    Two policies share the sampling/cooldown/actuation machinery, which
-    is mechanism-agnostic (the actuator injects or removes replicas via
-    the incremental compiler):
-
-    - threshold ([create]): drive replica count toward
-      ceil(load / capacity_per_replica);
-    - price signal ([create_price]): scale out while the marginal
-      utility of the next replica exceeds the quoted per-replica rent,
-      in when the last replica's marginal utility drops below it — the
-      market economy's demand curve applied to replica count. *)
+    A threshold policy samples a load signal periodically and drives the
+    replica count toward ceil(load / capacity_per_replica), within
+    bounds and a cooldown. The machinery is mechanism-agnostic: the
+    [scale_to] actuator injects or removes replicas via the incremental
+    compiler. *)
 
 type t = {
   sim : Netsim.Sim.t;
@@ -20,8 +15,7 @@ type t = {
   max_replicas : int;
   cooldown : float;
   scale_to : int -> unit; (* actuator: set replica count *)
-  signal : unit -> float; (* last-sampled signal, recorded on the span *)
-  signal_attr : string; (* span attribute name: "load" or "price" *)
+  sample : unit -> float; (* load signal, recorded on the span *)
   mutable replicas : int;
   mutable last_change : float;
   mutable running : bool;
@@ -47,21 +41,9 @@ let step t =
         [ ("policy", Obs.Trace.S t.name);
           ("from", Obs.Trace.I from);
           ("to", Obs.Trace.I want);
-          (t.signal_attr, Obs.Trace.F (t.signal ())) ]
+          ("load", Obs.Trace.F (t.sample ())) ]
       (fun _ -> t.scale_to want)
   end
-
-let make ~min_replicas ~max_replicas ~cooldown ~period ~sim ~name ~decide
-    ~signal ~signal_attr ~scale_to =
-  let t =
-    { sim; name; decide; min_replicas; max_replicas; cooldown; scale_to;
-      signal; signal_attr; replicas = min_replicas; last_change = -1e9;
-      running = true; events = [] }
-  in
-  Netsim.Sim.every sim ~period (fun () ->
-      if t.running then step t;
-      t.running);
-  t
 
 let create ?(min_replicas = 0) ?(max_replicas = 8) ?(cooldown = 0.2)
     ?(period = 0.1) ~sim ~name ~sample ~capacity_per_replica ~scale_to () =
@@ -70,26 +52,15 @@ let create ?(min_replicas = 0) ?(max_replicas = 8) ?(cooldown = 0.2)
     if load <= 0. then min_replicas
     else int_of_float (ceil (load /. capacity_per_replica))
   in
-  make ~min_replicas ~max_replicas ~cooldown ~period ~sim ~name ~decide
-    ~signal:sample ~signal_attr:"load" ~scale_to
-
-(* Desired count under a price signal: marginal utility is decreasing,
-   so the target is the number of replicas whose marginal value still
-   meets the rent — scale out while mu(n) > price, in when mu(n-1) has
-   dropped below it. Evaluated from scratch each step, so the policy
-   follows the price both ways. *)
-let create_price ?(min_replicas = 0) ?(max_replicas = 8) ?(cooldown = 0.2)
-    ?(period = 0.1) ~sim ~name ~price ~marginal_utility ~scale_to () =
-  let decide _current =
-    let p = price () in
-    let n = ref 0 in
-    while !n < max_replicas && marginal_utility !n >= p do
-      incr n
-    done;
-    !n
+  let t =
+    { sim; name; decide; min_replicas; max_replicas; cooldown; scale_to;
+      sample; replicas = min_replicas; last_change = -1e9; running = true;
+      events = [] }
   in
-  make ~min_replicas ~max_replicas ~cooldown ~period ~sim ~name ~decide
-    ~signal:price ~signal_attr:"price" ~scale_to
+  Netsim.Sim.every sim ~period (fun () ->
+      if t.running then step t;
+      t.running);
+  t
 
 let stop t = t.running <- false
 let replicas t = t.replicas

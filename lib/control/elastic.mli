@@ -1,9 +1,8 @@
 (** Elastic scaling policies (§1.1): defenses and apps "dynamically
-    scale in and out based on attack traffic volume." A policy samples
-    a signal periodically and drives the replica count toward a desired
-    level, within bounds and a cooldown; the [scale_to] actuator
-    injects or removes replicas. Two policies share this machinery:
-    threshold ({!create}) and price signal ({!create_price}). *)
+    scale in and out based on attack traffic volume." A threshold
+    policy samples a load signal periodically and drives the replica
+    count toward a desired level, within bounds and a cooldown; the
+    [scale_to] actuator injects or removes replicas. *)
 
 type t
 
@@ -12,20 +11,6 @@ val create :
   ?min_replicas:int -> ?max_replicas:int -> ?cooldown:float ->
   ?period:float -> sim:Netsim.Sim.t -> name:string ->
   sample:(unit -> float) -> capacity_per_replica:float ->
-  scale_to:(int -> unit) -> unit -> t
-
-(** Price-signal policy (§4.5's elastic half of the tenant economy):
-    desired = the largest [n <= max_replicas] with
-    [marginal_utility i >= price ()] for every [i < n]. With
-    diminishing returns this scales out while the next replica's
-    marginal utility exceeds the quoted per-replica rent and back in
-    when the last one's drops below it. [price] is typically
-    [Market.Auction.quote] partially applied to the app's footprint;
-    the sampled price is recorded on the [elastic.scale] span. *)
-val create_price :
-  ?min_replicas:int -> ?max_replicas:int -> ?cooldown:float ->
-  ?period:float -> sim:Netsim.Sim.t -> name:string ->
-  price:(unit -> float) -> marginal_utility:(int -> float) ->
   scale_to:(int -> unit) -> unit -> t
 
 val stop : t -> unit

@@ -51,10 +51,6 @@ let create ~sim ~map_name ~primary ~backups mode =
 
 let stop t = t.running <- false
 
-(** dRPC-mode hook: call after each primary update batch (cheap, in the
-    data plane). *)
-let replicate_now t = sync_once t
-
 (** Promote the freshest backup after a primary failure. Returns the
     new primary, or [None] if no backups remain. *)
 let failover t =

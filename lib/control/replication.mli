@@ -15,9 +15,6 @@ val create :
 (** Stop periodic syncing. *)
 val stop : t -> unit
 
-(** dRPC-mode hook: sync now (cheap, in the data plane). *)
-val replicate_now : t -> unit
-
 (** Promote the next backup after a primary failure. *)
 val failover : t -> Targets.Device.t option
 

@@ -148,7 +148,7 @@ let injection_patch ~tenant_name ~base (ext : Ast.program) =
 (** Admit a tenant extension program. On success the network has been
     live-patched and the tenant is registered. [attrs] carries extra
     span attributes (the market path tags bid/price context). *)
-let admit_with ~attrs t (ext : Ast.program) =
+let admit ?(attrs = []) t (ext : Ast.program) =
   let tenant_name = ext.Ast.owner in
   let scope = Netsim.Sim.obs t.sim in
   let t0 = t.clock () in
@@ -232,18 +232,6 @@ let admit_with ~attrs t (ext : Ast.program) =
   record_outcome t (if Result.is_ok result then Admitted else Rejected);
   count t (if Result.is_ok result then "tenants.admitted" else "tenants.rejected");
   result
-
-let admit t ext = admit_with ~attrs:[] t ext
-
-(** Market admission hook: the ordinary pipeline with the winning bid's
-    context recorded on the [tenant.admit] span, so auction outcomes
-    are attributable in the trace. *)
-let admit_bid t ~bid ~density ~price ext =
-  admit_with t ext
-    ~attrs:
-      [ ("bid", Obs.Trace.F bid);
-        ("density", Obs.Trace.F density);
-        ("price", Obs.Trace.F price) ]
 
 (** Tenant departure: remove every element, map, and parser rule the
     tenant owns, releasing the resources. *)

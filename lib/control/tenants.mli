@@ -81,17 +81,11 @@ val pp_admission_error : Format.formatter -> admission_error -> unit
 
 (** Admit a tenant extension program (owner = the tenant name). On
     success the network has been live-patched and the tenant is
-    registered. *)
+    registered. [attrs] are recorded on the [tenant.admit] span after
+    the tenant name; the market records the winning bid's value,
+    density, and quoted unit price there. *)
 val admit :
-  t -> Flexbpf.Ast.program ->
-  (tenant * Compiler.Incremental.report, admission_error) result
-
-(** Market admission hook: the ordinary pipeline (certification,
-    namespacing, access control, VLAN guarding, incremental plan) with
-    the winning bid's value, density, and quoted unit price recorded as
-    attributes on the [tenant.admit] span. *)
-val admit_bid :
-  t -> bid:float -> density:float -> price:float -> Flexbpf.Ast.program ->
+  ?attrs:(string * Obs.Trace.value) list -> t -> Flexbpf.Ast.program ->
   (tenant * Compiler.Incremental.report, admission_error) result
 
 type policy_admission_error =

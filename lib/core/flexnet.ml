@@ -45,11 +45,6 @@ let device t dev_id =
 let switch_devices t =
   List.filter (fun d -> Targets.Arch.is_switch (Targets.Device.kind d)) t.path
 
-let wired_of t dev =
-  List.find_opt
-    (fun w -> w.Runtime.Wiring.device == dev)
-    t.wireds
-
 (** Build the whole-stack network:
     h0 — nic0 — s0 — s1 … — nic1 — h1,
     with a programmable device of [arch] on every switch, SmartNICs on
@@ -173,34 +168,32 @@ let deploy_policy ?owner ~name t pol =
 (** Remove a deployed policy from its devices. *)
 let remove_policy t dp = Policy.Deploy.undeploy ~obs:(obs t) dp
 
-(** Apply a runtime patch to the infrastructure program: plan over
-    snapshots, execute through the reconfiguration engine. *)
-let patch_infrastructure t patch =
-  Runtime.Reconfig.apply_patch ~obs:(obs t) (deployment_exn t) patch
-
-(** Apply a patch hitlessly over simulated time: every device is frozen
-    (keeps serving the old program), the planned ops are executed
-    through the engine, and each touched device flips to the new
-    program atomically when its modeled op batch completes. *)
+(** Apply a patch hitlessly over simulated time: plan it over
+    snapshots, run the plan through the engine's Hitless window, and
+    commit the new program to the deployment. The commit is immediate,
+    so admissions landing inside the window plan against the new
+    program. *)
 let patch_hitless ?(on_done = fun (_ : Compiler.Incremental.report) -> ()) t
     patch =
   let dep = deployment_exn t in
-  List.iter (fun w -> Targets.Device.freeze w.Runtime.Wiring.device) t.wireds;
-  match Runtime.Reconfig.apply_patch ~obs:(obs t) dep patch with
-  | Error _ as e ->
-    List.iter (fun w -> Targets.Device.rollback w.Runtime.Wiring.device) t.wireds;
-    e
-  | Ok (report, diff) ->
-    let times = Runtime.Reconfig.per_device_times report.plan t.wireds in
-    List.iter
-      (fun w ->
-        let d = Targets.Device.id w.Runtime.Wiring.device in
-        let delay = Option.value (List.assoc_opt d times) ~default:0. in
-        Netsim.Sim.after t.sim delay (fun () ->
-            Targets.Device.thaw w.Runtime.Wiring.device))
-      t.wireds;
-    Netsim.Sim.after t.sim report.duration (fun () -> on_done report);
-    Ok (report, diff)
+  match Compiler.Incremental.plan_patch dep patch with
+  | Error _ as e -> e
+  | Ok (pc, diff) ->
+    let report = pc.Compiler.Incremental.ch_report in
+    let aborted = ref false in
+    Runtime.Reconfig.execute ~sim:t.sim ~mode:Runtime.Reconfig.Hitless
+      ~wireds:t.wireds ~devices:t.path report.Compiler.Incremental.plan
+      ~on_done:(fun o ->
+        if o.Runtime.Reconfig.rolled_back then aborted := true
+        else on_done report);
+    (* a device rejecting an op aborts the window before [execute]
+       returns; nothing was committed *)
+    if !aborted then
+      Error (Compiler.Incremental.Exec_error "hitless plan rejected by a device")
+    else begin
+      Runtime.Reconfig.commit_deployment dep pc;
+      Ok (report, diff)
+    end
 
 (** Inject traffic at h0 toward h1 (runs no host program — use the
     transport layer for host-stack behaviour). *)

@@ -40,7 +40,6 @@ val path : t -> Targets.Device.t list
 val wireds : t -> Runtime.Wiring.wired list
 val device : t -> string -> Targets.Device.t option
 val switch_devices : t -> Targets.Device.t list
-val wired_of : t -> Targets.Device.t -> Runtime.Wiring.wired option
 
 (** Build the whole-stack network
     [h0 — nic0 — s0 … s(n-1) — nic1 — h1] with a programmable device of
@@ -94,18 +93,16 @@ val deploy_policy :
 (** Remove a deployed policy from its devices (one window). *)
 val remove_policy : t -> Policy.Deploy.deployment -> (unit, string) result
 
-(** Apply a runtime patch through the incremental compiler
-    (immediately, without the freeze/thaw timing model). *)
-val patch_infrastructure :
-  t -> Flexbpf.Patch.t ->
-  (Compiler.Incremental.report * Flexbpf.Patch.diff,
-   Compiler.Incremental.error)
-  result
-
-(** Apply a patch hitlessly over simulated time: every device is frozen
-    (keeps serving the old program), the incremental compiler mutates
-    the deployment, and each touched device flips atomically when its
-    modeled op batch completes. *)
+(** Apply a patch hitlessly over simulated time: plan it over
+    snapshots ({!Compiler.Incremental.plan_patch}), run the plan through
+    {!Runtime.Reconfig.execute} in [Hitless] mode, and commit the new
+    program to the deployment. The touched devices keep serving the old
+    program and flip together at the acknowledgement; a crash inside
+    the window re-drives the plan. [on_done] fires when the new program
+    is live on every touched device. The commit is immediate, so
+    admissions landing inside the window plan against the new program;
+    if the window later aborts (retry budget spent), the devices stay
+    on the old program while the deployment keeps the new one. *)
 val patch_hitless :
   ?on_done:(Compiler.Incremental.report -> unit) -> t -> Flexbpf.Patch.t ->
   (Compiler.Incremental.report * Flexbpf.Patch.diff,

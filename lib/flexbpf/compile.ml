@@ -80,13 +80,13 @@ let mc_state env mc =
   mc.mc_st
 
 (* Counter cell, resolved lazily on first bump (so a never-incremented
-   counter stays absent from [Counters.to_list], like the interpreter's)
-   and revalidated by physical identity of [env.stats]. *)
-let dummy_stats = Netsim.Stats.Counters.create ()
+   counter stays absent from [Obs.Metrics.counters_list], like the
+   interpreter's) and revalidated by physical identity of [env.stats]. *)
+let dummy_stats = Obs.Metrics.create ()
 
 type ccnt = {
   cc_name : string;
-  mutable cc_tbl : Netsim.Stats.Counters.t;
+  mutable cc_tbl : Obs.Metrics.t;
   mutable cc_ref : int ref;
 }
 
@@ -95,7 +95,7 @@ let ccnt name = { cc_name = name; cc_tbl = dummy_stats; cc_ref = ref 0 }
 let cc_bump env cc =
   if cc.cc_tbl != env.Interp.stats then begin
     cc.cc_tbl <- env.Interp.stats;
-    cc.cc_ref <- Netsim.Stats.Counters.handle cc.cc_tbl cc.cc_name
+    cc.cc_ref <- Obs.Metrics.counter cc.cc_tbl cc.cc_name
   end;
   incr cc.cc_ref
 

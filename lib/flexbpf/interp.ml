@@ -37,7 +37,7 @@ type env = {
          rebinds it so promotion rides the dRPC timeout/backoff
          machinery — a dropped page means no promotion, never a wrong
          result. *)
-  mutable stats : Netsim.Stats.Counters.t;
+  mutable stats : Obs.Metrics.t;
   mutable work : int;
       (* cumulative executed work units, on the [Analysis.stmt_cost]
          scale — comparable against the static WCET certificate *)
@@ -64,7 +64,7 @@ let create_env ?(default_encoding = State.Stateful_table) (prog : program) =
     drpc = (fun _ _ -> 0L);
     tier_caps = Hashtbl.create 4;
     page_in = (fun _ _ commit -> commit ());
-    stats = Netsim.Stats.Counters.create (); work = 0 }
+    stats = Obs.Metrics.create (); work = 0 }
 
 let env_map env name =
   match Hashtbl.find_opt env.maps name with
@@ -336,10 +336,10 @@ let exec_table env pkt verdict (t : table) =
   let action_name, args =
     match select_rule env t ~params:[] pkt with
     | Some r ->
-      Netsim.Stats.Counters.incr env.stats (t.tbl_name ^ ".hit");
+      Obs.Metrics.incr env.stats (t.tbl_name ^ ".hit");
       (r.rule_action, r.rule_args)
     | None ->
-      Netsim.Stats.Counters.incr env.stats (t.tbl_name ^ ".miss");
+      Obs.Metrics.incr env.stats (t.tbl_name ^ ".miss");
       t.default_action
   in
   match find_action t action_name with
@@ -375,12 +375,12 @@ type result = {
 let run env (prog : program) pkt =
   let verdict = fresh_verdict () in
   if not (parse_accepts prog pkt) then begin
-    Netsim.Stats.Counters.incr env.stats "parser.reject";
+    Obs.Metrics.incr env.stats "parser.reject";
     verdict.dropped <- true;
     { verdict; parse_ok = false; runtime_error = None }
   end
   else begin
-    Netsim.Stats.Counters.incr env.stats "parser.accept";
+    Obs.Metrics.incr env.stats "parser.accept";
     try
       List.iter
         (function
@@ -389,7 +389,7 @@ let run env (prog : program) pkt =
         prog.pipeline;
       { verdict; parse_ok = true; runtime_error = None }
     with Eval_error msg ->
-      Netsim.Stats.Counters.incr env.stats "runtime.error";
+      Obs.Metrics.incr env.stats "runtime.error";
       verdict.dropped <- true;
       { verdict; parse_ok = true; runtime_error = Some msg }
   end

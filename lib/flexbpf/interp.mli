@@ -35,7 +35,7 @@ type env = {
          Defaults to an immediate commit; [Runtime.Drpc.bind_paging]
          reroutes it over dRPC so drops delay promotion, never
          correctness. *)
-  mutable stats : Netsim.Stats.Counters.t;
+  mutable stats : Obs.Metrics.t;
   mutable work : int;
       (* cumulative executed work units on the [Analysis.stmt_cost]
          scale; the delta across a run is the measured counterpart of

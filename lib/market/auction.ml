@@ -282,8 +282,11 @@ let clear t =
         | Error _ -> false
       in
       let admit mt cost (bid : Tenant.bid) =
-        Control.Tenants.admit_bid t.au_tenants ~bid:bid.Tenant.bid_value
-          ~density:bid.Tenant.bid_density ~price:cost mt.Tenant.mt_program
+        Control.Tenants.admit t.au_tenants mt.Tenant.mt_program
+          ~attrs:
+            [ ("bid", Obs.Trace.F bid.Tenant.bid_value);
+              ("density", Obs.Trace.F bid.Tenant.bid_density);
+              ("price", Obs.Trace.F cost) ]
       in
       (* no amount of preemption can place a footprint bigger than every
          book's total capacity — reject instead of evicting for nothing *)
@@ -322,7 +325,7 @@ let clear t =
                      if evict victim then try_admit () else defer mt defs)
               | Error _ ->
                 (* pipeline reject (certification, access control, ...):
-                   final — admit_bid already recorded the outcome *)
+                   final — admit already recorded the outcome *)
                 rejected := mt.Tenant.mt_name :: !rejected;
                 mcount t "market.rejected"
             in

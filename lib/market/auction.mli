@@ -6,7 +6,8 @@
     from its cheapest book, each book's prices move against its own
     capacity — within a convergence budget, (iii) ranks the surviving
     bids by value density and admits winners through
-    {!Control.Tenants.admit_bid}, i.e. the ordinary certify → plan →
+    {!Control.Tenants.admit} (bid, density and price recorded on its
+    span), i.e. the ordinary certify → plan →
     [Runtime.Reconfig] pipeline, (iv) defers priced-out bidders and,
     when capacity is exhausted, preempts admitted [Best_effort] tenants
     of strictly lower density through {!Control.Tenants.depart}
@@ -58,8 +59,7 @@ val withdraw : t -> string -> unit
     {!rounds}). *)
 val clear : t -> round
 
-(** Cheapest per-replica rent for a footprint at current prices — the
-    price signal [Control.Elastic.create_price] policies sample. *)
+(** Cheapest per-replica rent for a footprint at current prices. *)
 val quote : t -> Targets.Resource.t -> float
 
 val books : t -> (Targets.Arch.kind * Prices.t) list

@@ -49,7 +49,7 @@ type t = {
   sim : Sim.t;
   rng : Random.State.t;
   plan : fault list;
-  counters : Stats.Counters.t;
+  counters : Obs.Metrics.t;
   mutable subscribers : (string -> device_event -> unit) list;
 }
 
@@ -99,19 +99,19 @@ let bind_link t link =
           | Loss p ->
             ( "loss",
               (fun () ->
-                Stats.Counters.incr t.counters "faults.link.loss_windows";
+                Obs.Metrics.incr t.counters "faults.link.loss_windows";
                 Link.set_loss link ~rng:t.rng p),
               fun () -> Link.set_loss link 0. )
           | Extra_delay d ->
             ( "delay",
               (fun () ->
-                Stats.Counters.incr t.counters "faults.link.delay_windows";
+                Obs.Metrics.incr t.counters "faults.link.delay_windows";
                 Link.set_extra_delay link d),
               fun () -> Link.set_extra_delay link 0. )
           | Down ->
             ( "partition",
               (fun () ->
-                Stats.Counters.incr t.counters "faults.link.partitions";
+                Obs.Metrics.incr t.counters "faults.link.partitions";
                 Link.set_up link false),
               fun () -> Link.set_up link true )
         in
@@ -154,7 +154,7 @@ let register_device t id ~crash ~restart =
           (* downtime span: crash opens it, restart closes it *)
           let window = ref None in
           Sim.at t.sim d.at (fun () ->
-              Stats.Counters.incr t.counters "faults.device.crashes";
+              Obs.Metrics.incr t.counters "faults.device.crashes";
               window :=
                 Some
                   (Obs.Trace.start (tracer t) "fault.device_crash"
@@ -190,7 +190,7 @@ let rpc_decision t ~service =
       0. t.plan
   in
   if p > 0. && Random.State.float t.rng 1.0 < p then begin
-    Stats.Counters.incr t.counters "faults.drpc.drops";
+    Obs.Metrics.incr t.counters "faults.drpc.drops";
     `Drop
   end
   else `Deliver

@@ -42,7 +42,7 @@ val plan : t -> fault list
 
 (** Injection counters: "faults.link.loss_windows", "faults.link.delay_windows",
     "faults.link.partitions", "faults.device.crashes", "faults.drpc.drops". *)
-val counters : t -> Stats.Counters.t
+val counters : t -> Obs.Metrics.t
 
 (** The injector's seeded random state (shared with armed links). *)
 val rng : t -> Random.State.t

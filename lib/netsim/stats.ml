@@ -67,27 +67,3 @@ module Reservoir = struct
 
   let median t = percentile t 50.
 end
-
-(** Named monotone counters.
-
-    Thin adapter over the unified [Obs.Metrics] registry: [t] IS a
-    registry (the type equality is exposed), so components that take a
-    [Counters.t] can be handed the simulation's registry and their
-    counts show up in the unified [flexnet metrics] export. *)
-module Counters = struct
-  type t = Obs.Metrics.t
-
-  let create () : t = Obs.Metrics.create ()
-  let incr ?by t name = Obs.Metrics.incr t ?by name
-
-  (* The cell behind [name], creating a zero entry if absent. Hot-path
-     callers (the FlexBPF compiled fast path) hold the ref and bump it
-     directly instead of hashing the name per event. *)
-  let handle t name = Obs.Metrics.counter t name
-  let get t name = Obs.Metrics.get_counter t name
-  let to_list t = Obs.Metrics.counters_list t
-
-  let pp ppf t =
-    Fmt.pf ppf "%a" Fmt.(list ~sep:(any " ") (pair ~sep:(any "=") string int))
-      (to_list t)
-end

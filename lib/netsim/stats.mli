@@ -27,26 +27,3 @@ module Reservoir : sig
 
   val median : t -> float
 end
-
-(** Named monotone counters — an adapter over the unified
-    [Obs.Metrics] registry. The type equality is exposed so a
-    simulation's registry ([Obs.Scope.metrics (Sim.obs sim)]) can be
-    passed anywhere a [Counters.t] is expected, unifying per-component
-    accounting into one exportable registry. *)
-module Counters : sig
-  type t = Obs.Metrics.t
-
-  val create : unit -> t
-  val incr : ?by:int -> t -> string -> unit
-  val get : t -> string -> int
-
-  (** The cell behind [name], creating a zero entry if absent. Hot-path
-      callers hold the ref and bump it directly instead of hashing the
-      name per event. *)
-  val handle : t -> string -> int ref
-
-  (** Sorted by name. *)
-  val to_list : t -> (string * int) list
-
-  val pp : Format.formatter -> t -> unit
-end

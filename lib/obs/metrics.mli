@@ -91,8 +91,7 @@ type value =
 (** Every series, sorted by (name, labels). *)
 val to_list : t -> (string * labels * value) list
 
-(** Counter series with no labels, sorted by name — the view the
-    [Netsim.Stats.Counters] adapter exposes. *)
+(** Counter series with no labels, sorted by name. *)
 val counters_list : t -> (string * int) list
 
 (** Drop every series (test isolation). *)

@@ -30,14 +30,14 @@ type t = {
   dp_invocations : int ref; (* "drpc.dp_invocations" registry handle *)
   cp_invocations : int ref; (* "drpc.cp_invocations" registry handle *)
   mutable faults : Netsim.Faults.t option;
-  stats : Netsim.Stats.Counters.t; (* the sim's unified registry *)
+  stats : Obs.Metrics.t; (* the sim's unified registry *)
 }
 
 let create ?(controlplane_rtt = 0.002) sim =
   let stats = Obs.Scope.metrics (Netsim.Sim.obs sim) in
   { sim; services = Hashtbl.create 16; controlplane_rtt;
-    dp_invocations = Netsim.Stats.Counters.handle stats "drpc.dp_invocations";
-    cp_invocations = Netsim.Stats.Counters.handle stats "drpc.cp_invocations";
+    dp_invocations = Obs.Metrics.counter stats "drpc.dp_invocations";
+    cp_invocations = Obs.Metrics.counter stats "drpc.cp_invocations";
     faults = None; stats }
 
 let tracer t = Obs.Scope.trace (Netsim.Sim.obs t.sim)
@@ -55,7 +55,7 @@ let delivered t name =
     (match Netsim.Faults.rpc_decision f ~service:name with
      | `Deliver -> true
      | `Drop ->
-       Netsim.Stats.Counters.incr t.stats "drpc.drops";
+       Obs.Metrics.incr t.stats "drpc.drops";
        false)
 
 let register t ?(owner = "infra") ?(dataplane_latency = 5e-6) name handler =
@@ -110,14 +110,14 @@ let invoke_async t ~count ~plane ~latency ~timeout ~max_retries name svc args ~k
     else
       Netsim.Sim.after t.sim timeout (fun () ->
           if n < max_retries then begin
-            Netsim.Stats.Counters.incr t.stats "drpc.retries";
+            Obs.Metrics.incr t.stats "drpc.retries";
             (* bounded exponential backoff: timeout, 2*timeout, ... *)
             Netsim.Sim.after t.sim
               (timeout *. (2. ** float_of_int n))
               (fun () -> attempt (n + 1))
           end
           else begin
-            Netsim.Stats.Counters.incr t.stats "drpc.gaveups";
+            Obs.Metrics.incr t.stats "drpc.gaveups";
             settle ~attempts:(n + 1) ~ok:false None
           end)
   in
@@ -188,12 +188,12 @@ let bind_paging ?(latency = 20e-6) ?timeout ?max_retries t device =
               ("device", Obs.Trace.S dev_id);
               ("key_arity", Obs.Trace.I (Array.length key)) ]
       in
-      Netsim.Stats.Counters.incr t.stats "table.faults";
+      Obs.Metrics.incr t.stats "table.faults";
       invoke_dataplane t ?timeout ?max_retries page_service
         (Array.to_list key) ~k:(fun res ->
           let ok = res <> None in
           if ok then commit ()
-          else Netsim.Stats.Counters.incr t.stats "table.fault_drops";
+          else Obs.Metrics.incr t.stats "table.fault_drops";
           Obs.Trace.finish (tracer t) span
             ~attrs:[ ("ok", Obs.Trace.B ok) ]))
 

@@ -24,7 +24,7 @@ val set_faults : t -> Netsim.Faults.t option -> unit
     "drpc.retries", "drpc.gaveups". This is the simulation's unified
     registry ([Obs.Scope.metrics (Sim.obs sim)]), which also carries
     "drpc.dp_invocations" / "drpc.cp_invocations". *)
-val stats : t -> Netsim.Stats.Counters.t
+val stats : t -> Obs.Metrics.t
 
 val register :
   t -> ?owner:string -> ?dataplane_latency:float -> string ->

@@ -81,7 +81,7 @@ let migration_span ~sim ~protocol ~src ~dst =
 
 let finish_migration ~sim span (r : report) =
   let scope = Netsim.Sim.obs sim in
-  Netsim.Stats.Counters.incr (Obs.Scope.metrics scope) "migration.migrations";
+  Obs.Metrics.incr (Obs.Scope.metrics scope) "migration.migrations";
   Obs.Trace.finish (Obs.Scope.trace scope) span
     ~attrs:
       [ ("entries_moved", Obs.Trace.I r.entries_moved);

@@ -4,33 +4,36 @@
     under two-version windows. The compiler never touches a device; it
     plans over resource snapshots and this module interprets the ops.
 
-    Two timed modes, matching §1's contrast:
+    Both entry points share one staging step: freeze the devices the
+    plan touches structurally (those not already inside a caller-held
+    window), interpret the ops, and roll the opened windows back on an
+    op failure.
 
-    - [Hitless] (runtime programmable): the touched devices keep
-      serving traffic with their old program while the change is
-      applied; the new program becomes visible atomically per device
-      when its op batch completes. Zero loss; "program changes complete
-      within a second".
+    - [run_plan] (untimed, used by the control plane) closes its window
+      at once and — when the planner supplied predicted snapshots —
+      reconciles the actual device state against the prediction.
 
-    - [Drain] (compile-time baseline): each touched device is isolated
-      by management operations (traffic drained — here: dropped, as the
-      path has no alternates), reflashed with the full program, then
-      redeployed. Loss is proportional to drain + reflash time.
+    - [execute] (timed, under the simulator) matches §1's contrast with
+      two modes. [Hitless] (runtime programmable): the touched devices
+      keep serving traffic with their old program while the ops run;
+      the window closes at the acknowledgement, when the slowest
+      device's modelled op batch completes, and every touched device
+      flips to the new program at that instant. Zero loss; "program
+      changes complete within a second". [Drain] (compile-time
+      baseline): each touched wired device is isolated (traffic
+      drained — here: dropped, as the path has no alternates),
+      reflashed with the full program, then redeployed. Loss is
+      proportional to drain + reflash time.
 
-    Failure handling (Hitless): the op batch is acknowledged
-    per device at the end of the window — a device that crashed
-    mid-batch restarts on its old program (Targets.Device rolls the
-    in-flight mutations back at restart), the surviving devices are
-    rolled back too, and the whole plan is re-driven after a bounded
-    exponential backoff. When the retry budget runs out the plan aborts
-    atomically: every touched device ends on its old program. Either
-    way each device runs old-XOR-new, never a mix. [apply] is re-run on
-    retries, so it must be idempotent over already-converged devices.
-
-    [run_plan] is the untimed entry point used by the control plane: it
-    freezes the touched devices, interprets the ops, thaws, and — when
-    the planner supplied predicted snapshots — reconciles the actual
-    device state against the prediction. *)
+    Failure handling (Hitless): a device that crashed inside the window
+    fails the acknowledgement and restarts on its old program
+    (Targets.Device rolls the in-flight mutations back at restart); the
+    surviving devices are rolled back too, and the whole plan is
+    re-driven after a bounded exponential backoff. When the retry
+    budget runs out the plan aborts atomically: every touched device
+    ends on its old program. An op the devices reject aborts the same
+    way at once, without a retry — the rejection is deterministic.
+    Either way each device runs old-XOR-new, never a mix. *)
 
 open Flexbpf
 
@@ -39,220 +42,9 @@ type mode = Hitless | Drain
 type outcome = {
   started_at : float;
   finished_at : float;
-  mode : mode;
-  per_device_done : (string * float) list;
   attempts : int; (* 1 on a fault-free run *)
   rolled_back : bool; (* true: plan aborted, all devices on old program *)
 }
-
-let wired_for wireds dev_id =
-  List.find_opt
-    (fun w -> Targets.Device.id w.Wiring.device = dev_id)
-    wireds
-
-(* Devices whose structural state an op mutates (state migration only
-   copies map contents; it needs no two-version window). *)
-let structural_op_devices = function
-  | Compiler.Plan.Migrate_state _ -> []
-  | Compiler.Plan.Move { from_device; to_device; _ } ->
-    [ from_device; to_device ]
-  | op -> [ Compiler.Plan.op_device op ]
-
-(* Serial op time per wired device in the plan (ops on devices outside
-   the wired set — host stacks — are free here, as before; the cost
-   model itself lives in [Compiler.Plan.times_of_devices]). Every
-   structurally-touched wired device appears in the result even when
-   the op's cost is charged elsewhere — a Move's source performs an
-   uninstall inside the same window whose time is billed to the
-   destination, but it still needs its own freeze/ack entry so a crash
-   rolls it back too. *)
-let per_device_times plan wireds =
-  let devices = List.map (fun w -> w.Wiring.device) wireds in
-  let wired_ids = List.map Targets.Device.id devices in
-  let wired_ops =
-    List.filter
-      (fun op ->
-        List.exists
-          (fun d -> List.mem d wired_ids)
-          (Compiler.Plan.op_device op :: structural_op_devices op))
-      plan.Compiler.Plan.ops
-  in
-  let times =
-    Compiler.Plan.per_device_times
-      ~times_of:(Compiler.Plan.times_of_devices devices)
-      { plan with Compiler.Plan.ops = wired_ops }
-  in
-  List.fold_left
-    (fun acc d ->
-      if List.mem_assoc d acc || not (List.mem d wired_ids) then acc
-      else (d, 0.) :: acc)
-    times
-    (List.sort_uniq compare (List.concat_map structural_op_devices wired_ops))
-
-(** Execute [plan] starting now. [apply] performs the device mutations
-    immediately (under freeze); visibility and loss follow the mode's
-    timing model. [on_done] fires when every device finished (or the
-    plan aborted). Hitless runs survive mid-batch device crashes: the
-    plan is re-driven up to [max_retries] times with exponential
-    backoff starting at [retry_backoff] seconds, then aborted with
-    every touched device rolled back to its old program. [stats] (if
-    given) counts "reconfig.retries" and "reconfig.gaveups". *)
-let execute ?(on_done = fun (_ : outcome) -> ()) ?(max_retries = 2)
-    ?(retry_backoff = 0.05) ?stats ~sim ~mode ~wireds ~plan apply =
-  let registry = Obs.Scope.metrics (Netsim.Sim.obs sim) in
-  let tr = Obs.Scope.trace (Netsim.Sim.obs sim) in
-  let count name =
-    Netsim.Stats.Counters.incr registry name;
-    (* a caller-supplied counter set keeps working; physical equality
-       guards against double counting when it IS the sim registry *)
-    match stats with
-    | Some c when c != registry -> Netsim.Stats.Counters.incr c name
-    | _ -> ()
-  in
-  let start = Netsim.Sim.now sim in
-  let times = per_device_times plan wireds in
-  let touched () =
-    List.filter_map (fun (d, _) -> wired_for wireds d) times
-  in
-  let exec_span =
-    Obs.Trace.start tr "reconfig.execute"
-      ~attrs:
-        [ ("plan", Obs.Trace.S plan.Compiler.Plan.plan_name);
-          ("mode", Obs.Trace.S (match mode with Hitless -> "hitless" | Drain -> "drain"));
-          ("devices", Obs.Trace.I (List.length times)) ]
-  in
-  let on_done outcome =
-    Obs.Trace.finish tr exec_span
-      ~attrs:
-        [ ("attempts", Obs.Trace.I outcome.attempts);
-          ("rolled_back", Obs.Trace.B outcome.rolled_back) ];
-    on_done outcome
-  in
-  match mode with
-  | Hitless ->
-    (* Per attempt: freeze (checkpoint) → mutate → stage fast paths →
-       acknowledge at the end of the window. Commit (thaw) only if every
-       touched device survived the window; otherwise roll the survivors
-       back (crashed devices roll back at restart) and re-drive. *)
-    let rec attempt k =
-      let att_span =
-        Obs.Trace.start tr ~parent:exec_span "reconfig.attempt"
-          ~attrs:[ ("n", Obs.Trace.I (k + 1)) ]
-      in
-      let close_attempt ok =
-        Obs.Trace.finish tr att_span ~attrs:[ ("ok", Obs.Trace.B ok) ]
-      in
-      let ws = touched () in
-      if not (List.for_all (fun w -> Targets.Device.powered_on w.Wiring.device) ws)
-      then begin
-        close_attempt false;
-        retry_or_abort k (* a device is still down: back off, retry *)
-      end
-      else begin
-        let attempt_start = Netsim.Sim.now sim in
-        let marks =
-          List.map (fun w -> (w, Targets.Device.crashes w.Wiring.device)) ws
-        in
-        List.iter (fun w -> Targets.Device.freeze w.Wiring.device) ws;
-        apply ();
-        (* Stage the new program's compiled fast path inside the window:
-           traffic still runs the frozen old program, and the thaw flips
-           to an already-compiled replacement atomically. *)
-        List.iter
-          (fun w ->
-            if Targets.Device.powered_on w.Wiring.device then
-              Targets.Device.precompile w.Wiring.device)
-          ws;
-        let finish =
-          List.fold_left (fun acc (_, t) -> Float.max acc t) 0. times
-        in
-        Netsim.Sim.after sim finish (fun () ->
-            let acked (w, crashes0) =
-              Targets.Device.powered_on w.Wiring.device
-              && Targets.Device.crashes w.Wiring.device = crashes0
-            in
-            if List.for_all acked marks then begin
-              List.iter (fun w -> Targets.Device.thaw w.Wiring.device) ws;
-              close_attempt true;
-              on_done
-                { started_at = start; finished_at = Netsim.Sim.now sim; mode;
-                  per_device_done =
-                    List.map (fun (d, t) -> (d, attempt_start +. t)) times;
-                  attempts = k + 1; rolled_back = false }
-            end
-            else begin
-              (* un-acked batch: survivors roll back now, crashed
-                 devices roll back on restart *)
-              List.iter
-                (fun w ->
-                  if Targets.Device.powered_on w.Wiring.device then
-                    Targets.Device.rollback w.Wiring.device)
-                ws;
-              close_attempt false;
-              retry_or_abort k
-            end)
-      end
-    and retry_or_abort k =
-      if k < max_retries then begin
-        count "reconfig.retries";
-        Netsim.Sim.after sim
-          (retry_backoff *. (2. ** float_of_int k))
-          (fun () -> attempt (k + 1))
-      end
-      else begin
-        count "reconfig.gaveups";
-        (* abort atomically: any device still holding an open window
-           (e.g. frozen but never crashed) reverts to its old program *)
-        List.iter
-          (fun w ->
-            if Targets.Device.is_frozen w.Wiring.device
-               && Targets.Device.powered_on w.Wiring.device
-            then Targets.Device.rollback w.Wiring.device)
-          (touched ());
-        on_done
-          { started_at = start; finished_at = Netsim.Sim.now sim; mode;
-            per_device_done = []; attempts = k + 1; rolled_back = true }
-      end
-    in
-    attempt 0
-  | Drain ->
-    (* take each touched device offline for drain + full reflash *)
-    let downtimes =
-      List.map
-        (fun (d, _) ->
-          let w = wired_for wireds d in
-          let down =
-            match w with
-            | Some w ->
-              let r = Targets.Device.reconfig_times w.Wiring.device in
-              r.Targets.Arch.drain_time +. r.Targets.Arch.t_full_reflash
-            | None -> 0.
-          in
-          (match w with Some w -> Wiring.set_online w false | None -> ());
-          (d, down))
-        times
-    in
-    apply ();
-    let finish =
-      List.fold_left (fun acc (_, t) -> Float.max acc t) 0. downtimes
-    in
-    List.iter
-      (fun (d, down) ->
-        Netsim.Sim.after sim down (fun () ->
-            match wired_for wireds d with
-            | Some w -> Wiring.set_online w true
-            | None -> ()))
-      downtimes;
-    Netsim.Sim.after sim finish (fun () ->
-        on_done
-          { started_at = start; finished_at = start +. finish; mode;
-            per_device_done =
-              List.map (fun (d, t) -> (d, start +. t)) downtimes;
-            attempts = 1; rolled_back = false })
-
-(** Modelled completion latency of a plan in hitless mode (no sim). *)
-let hitless_latency ~devices plan =
-  Compiler.Plan.duration plan ~times_of:(Compiler.Plan.times_of_devices devices)
 
 (* -- The op interpreter ------------------------------------------------ *)
 
@@ -381,10 +173,34 @@ let apply_ops devices plan =
   in
   go plan.Compiler.Plan.ops
 
-(** Untimed plan execution: freeze the touched devices (those not
-    already inside a caller-held window), interpret the ops, thaw. An
-    op failure rolls the self-frozen devices back and returns the
-    error, so the plan is transactional over the devices this call
+(* Devices whose structural state an op mutates (state migration only
+   copies map contents; it needs no two-version window). *)
+let structural_op_devices = function
+  | Compiler.Plan.Migrate_state _ -> []
+  | Compiler.Plan.Move { from_device; to_device; _ } ->
+    [ from_device; to_device ]
+  | op -> [ Compiler.Plan.op_device op ]
+
+(* The staging step both entry points share: open a window on every
+   structurally-touched device not already inside one, interpret the
+   ops, and on an op failure roll the opened windows back. Returns the
+   devices whose window this call opened. *)
+let stage ~devices plan =
+  let opened =
+    List.concat_map structural_op_devices plan.Compiler.Plan.ops
+    |> List.sort_uniq compare
+    |> List.filter_map (find_device devices)
+    |> List.filter (fun d -> not (Targets.Device.is_frozen d))
+  in
+  List.iter Targets.Device.freeze opened;
+  match apply_ops devices plan with
+  | Ok () -> Ok opened
+  | Error e ->
+    List.iter Targets.Device.rollback opened;
+    Error e
+
+(** Untimed plan execution: stage the plan and close its window at
+    once, so the plan is transactional over the devices this call
     froze. With [predicted] (the planner's post-execution snapshots),
     the actual device state is reconciled against the prediction after
     the thaw; devices still inside a caller-held window are skipped —
@@ -410,22 +226,11 @@ let run_plan ?obs ?parent ?predicted ~devices plan =
      | _ -> ());
     result
   in
-  let touched_ids =
-    List.sort_uniq compare
-      (List.concat_map structural_op_devices plan.Compiler.Plan.ops)
-  in
-  let structural = List.filter_map (find_device devices) touched_ids in
-  let self_frozen =
-    List.filter (fun d -> not (Targets.Device.is_frozen d)) structural
-  in
-  List.iter Targets.Device.freeze self_frozen;
   finish
-    (match apply_ops devices plan with
-     | Error e ->
-       List.iter Targets.Device.rollback self_frozen;
-       Error e
-     | Ok () ->
-       List.iter Targets.Device.thaw self_frozen;
+    (match stage ~devices plan with
+     | Error e -> Error e
+     | Ok opened ->
+       List.iter Targets.Device.thaw opened;
        (match predicted with
         | None -> Ok ()
         | Some preds ->
@@ -447,13 +252,148 @@ let run_plan ?obs ?parent ?predicted ~devices plan =
             Error
               ("reconciliation failed: " ^ String.concat "; " mismatches)))
 
-(** [execute] with the op interpreter as [apply] — the timed plan-only
-    path used by experiments. *)
-let execute_plan ?on_done ?max_retries ?retry_backoff ?stats ~sim ~mode
-    ~wireds ~plan () =
-  let devices = List.map (fun w -> w.Wiring.device) wireds in
-  execute ?on_done ?max_retries ?retry_backoff ?stats ~sim ~mode ~wireds ~plan
-    (fun () -> ignore (apply_ops devices plan))
+(* Serial op time per device of [devices] that the plan touches (the
+   cost model itself lives in [Compiler.Plan.times_of_devices]). Every
+   structurally-touched device appears even when the op's cost is
+   charged elsewhere — a Move's source uninstalls inside the same
+   window while the time is billed to the destination — so a crash
+   there fails the acknowledgement too. *)
+let device_times ~devices plan =
+  let times =
+    Compiler.Plan.per_device_times
+      ~times_of:(Compiler.Plan.times_of_devices devices) plan
+  in
+  List.concat_map
+    (fun op -> Compiler.Plan.op_device op :: structural_op_devices op)
+    plan.Compiler.Plan.ops
+  |> List.sort_uniq compare
+  |> List.filter_map (fun id ->
+         Option.map
+           (fun d -> (d, Option.value (List.assoc_opt id times) ~default:0.))
+           (find_device devices id))
+
+(** Execute [plan] over [devices] starting now; [wireds] are the
+    devices' packet-path attachments, which [Drain] takes offline.
+    [on_done] fires when the window closed or the plan aborted. *)
+let execute ?(on_done = fun (_ : outcome) -> ()) ?(max_retries = 2)
+    ?(retry_backoff = 0.05) ~sim ~mode ~wireds ~devices plan =
+  let registry = Obs.Scope.metrics (Netsim.Sim.obs sim) in
+  let tr = Obs.Scope.trace (Netsim.Sim.obs sim) in
+  let start = Netsim.Sim.now sim in
+  let times = device_times ~devices plan in
+  let finish = List.fold_left (fun acc (_, t) -> Float.max acc t) 0. times in
+  let exec_span =
+    Obs.Trace.start tr "reconfig.execute"
+      ~attrs:
+        [ ("plan", Obs.Trace.S plan.Compiler.Plan.plan_name);
+          ("mode", Obs.Trace.S (match mode with Hitless -> "hitless" | Drain -> "drain"));
+          ("devices", Obs.Trace.I (List.length times)) ]
+  in
+  let on_done ~attempts ~rolled_back =
+    Obs.Trace.finish tr exec_span
+      ~attrs:
+        [ ("attempts", Obs.Trace.I attempts);
+          ("rolled_back", Obs.Trace.B rolled_back) ];
+    on_done
+      { started_at = start; finished_at = Netsim.Sim.now sim; attempts;
+        rolled_back }
+  in
+  match mode with
+  | Hitless ->
+    (* Per attempt: stage (freeze → mutate), precompile the new fast
+       paths, acknowledge at the end of the window. Commit (thaw) only
+       if every touched device survived the window; otherwise roll the
+       survivors back (crashed devices roll back at restart) and
+       re-drive. *)
+    let touched = List.map fst times in
+    let rec attempt k =
+      let att_span =
+        Obs.Trace.start tr ~parent:exec_span "reconfig.attempt"
+          ~attrs:[ ("n", Obs.Trace.I (k + 1)) ]
+      in
+      let close_attempt ok =
+        Obs.Trace.finish tr att_span ~attrs:[ ("ok", Obs.Trace.B ok) ]
+      in
+      if not (List.for_all Targets.Device.powered_on touched) then begin
+        close_attempt false;
+        retry_or_abort k (* a device is still down: back off, retry *)
+      end
+      else begin
+        let marks = List.map (fun d -> (d, Targets.Device.crashes d)) touched in
+        match stage ~devices plan with
+        | Error e ->
+          (* a rejected op is deterministic: abort without a retry *)
+          Obs.Trace.add_attr att_span "error" (Obs.Trace.S e);
+          close_attempt false;
+          on_done ~attempts:(k + 1) ~rolled_back:true
+        | Ok opened ->
+          (* stage the new program's compiled fast path inside the
+             window: traffic still runs the frozen old program, and the
+             thaw flips to an already-compiled replacement *)
+          List.iter Targets.Device.precompile opened;
+          Netsim.Sim.after sim finish (fun () ->
+              let acked (d, crashes0) =
+                Targets.Device.powered_on d
+                && Targets.Device.crashes d = crashes0
+              in
+              if List.for_all acked marks then begin
+                List.iter Targets.Device.thaw opened;
+                close_attempt true;
+                on_done ~attempts:(k + 1) ~rolled_back:false
+              end
+              else begin
+                (* un-acked batch: survivors roll back now, crashed
+                   devices roll back on restart *)
+                List.iter
+                  (fun d ->
+                    if Targets.Device.powered_on d then
+                      Targets.Device.rollback d)
+                  opened;
+                close_attempt false;
+                retry_or_abort k
+              end)
+      end
+    and retry_or_abort k =
+      if k < max_retries then begin
+        Obs.Metrics.incr registry "reconfig.retries";
+        Netsim.Sim.after sim
+          (retry_backoff *. (2. ** float_of_int k))
+          (fun () -> attempt (k + 1))
+      end
+      else begin
+        (* every attempt's windows are already closed: survivors rolled
+           back at the failed acknowledgement, crashed devices roll back
+           at restart *)
+        Obs.Metrics.incr registry "reconfig.gaveups";
+        on_done ~attempts:(k + 1) ~rolled_back:true
+      end
+    in
+    attempt 0
+  | Drain ->
+    (* take each touched wired device offline for drain + full reflash *)
+    let downtimes =
+      List.map
+        (fun (d, _) ->
+          match List.find_opt (fun w -> w.Wiring.device == d) wireds with
+          | Some w ->
+            let r = Targets.Device.reconfig_times d in
+            Wiring.set_online w false;
+            (Some w, r.Targets.Arch.drain_time +. r.Targets.Arch.t_full_reflash)
+          | None -> (None, 0.))
+        times
+    in
+    ignore (apply_ops devices plan);
+    List.iter
+      (fun (w, down) ->
+        Option.iter
+          (fun w -> Netsim.Sim.after sim down (fun () -> Wiring.set_online w true))
+          w)
+      downtimes;
+    let finish =
+      List.fold_left (fun acc (_, t) -> Float.max acc t) 0. downtimes
+    in
+    Netsim.Sim.after sim finish (fun () ->
+        on_done ~attempts:1 ~rolled_back:false)
 
 (* -- Plan-then-execute entry points ------------------------------------ *)
 
@@ -513,6 +453,8 @@ let deploy ?obs ~path prog =
       { Compiler.Incremental.dep_prog = prog; dep_placement = placement })
     (place ?obs ~path prog)
 
+(** Record an executed change on the deployment: its new program and
+    element placement. *)
 let commit_deployment (dep : Compiler.Incremental.deployment)
     (pc : Compiler.Incremental.planned_change) =
   let path = dep.dep_placement.Compiler.Placement.path in

@@ -1,96 +1,71 @@
 (** The one reconfiguration engine: every change to a live datapath —
     deploy, patch, recompile, GC/defragment, state migration — arrives
     here as a [Compiler.Plan.t] and is executed against the devices
-    under two-version windows.
+    under two-version windows. [run_plan] and [execute] share one
+    staging step: freeze the devices the plan touches (unless already
+    inside a caller-held window), interpret the ops, roll back on an op
+    failure.
 
     - [Hitless] (runtime programmable): touched devices keep serving
-      traffic with their old program; the new one becomes visible
-      atomically per device when its op batch completes. Zero loss,
-      "program changes complete within a second".
+      traffic with their old program; the window closes at the
+      acknowledgement, when the slowest device's modelled op batch
+      completes, and every touched device flips to the new program at
+      that instant. Zero loss, "program changes complete within a
+      second".
     - [Drain] (compile-time baseline): each touched device is isolated,
       reflashed with the full program, then redeployed; loss is
       proportional to drain + reflash time.
 
-    Failure handling (Hitless): the op batch is acknowledged per device
-    at the end of the window. A device that crashed mid-batch restarts
-    on its old program; survivors roll back and the plan is re-driven
-    with exponential backoff, or aborted atomically once the retry
-    budget is spent — each device always runs old-XOR-new. *)
+    Failure handling (Hitless): a device that crashed inside the window
+    fails the acknowledgement and restarts on its old program;
+    survivors roll back and the plan is re-driven with exponential
+    backoff, or aborted atomically once the retry budget is spent. An
+    op a device rejects aborts at once, without a retry. Each device
+    always runs old-XOR-new. *)
 
 type mode = Hitless | Drain
 
 type outcome = {
   started_at : float;
   finished_at : float;
-  mode : mode;
-  per_device_done : (string * float) list;
   attempts : int; (* 1 on a fault-free run *)
   rolled_back : bool; (* true: plan aborted, all devices on old program *)
 }
 
-(** Serial op time per wired device id in the plan (delegates to
-    {!Compiler.Plan.per_device_times}). *)
-val per_device_times :
-  Compiler.Plan.t -> Wiring.wired list -> (string * float) list
-
-(** Execute [plan] starting now; [on_done] fires when every device has
-    finished (or the plan aborted). Hitless runs survive mid-batch
-    crashes: up to [max_retries] re-drives (default 2) with exponential
-    backoff from [retry_backoff] seconds (default 0.05), then an atomic
-    abort. [apply] is re-run on retries and must be idempotent over
-    already-converged devices.
+(** Execute [plan] over [devices] (every device its ops name) starting
+    now; [wireds] are their packet-path attachments, which [Drain]
+    takes offline. [on_done] fires when the window closed or the plan
+    aborted. Hitless runs survive crashes inside the window: up to
+    [max_retries] re-drives (default 2) with exponential backoff from
+    [retry_backoff] seconds (default 0.05), then an atomic abort.
 
     Observability: a "reconfig.execute" span (with "reconfig.attempt"
     children per Hitless attempt) is recorded on the simulation's
     tracer, and "reconfig.retries" / "reconfig.gaveups" are counted in
-    the simulation's registry. A caller-supplied [stats] still receives
-    the same counts (skipped when it is the sim registry itself). *)
+    the simulation's registry. *)
 val execute :
   ?on_done:(outcome -> unit) -> ?max_retries:int -> ?retry_backoff:float ->
-  ?stats:Netsim.Stats.Counters.t -> sim:Netsim.Sim.t -> mode:mode ->
-  wireds:Wiring.wired list -> plan:Compiler.Plan.t -> (unit -> unit) -> unit
+  sim:Netsim.Sim.t -> mode:mode -> wireds:Wiring.wired list ->
+  devices:Targets.Device.t list -> Compiler.Plan.t -> unit
 
-(** Modelled completion latency of a plan in hitless mode. *)
-val hitless_latency : devices:Targets.Device.t list -> Compiler.Plan.t -> float
-
-(** {2 The op interpreter} *)
-
-(** Interpret one op against live devices. [Install] of an
-    already-installed name replaces it, carrying the element's map
-    state across. *)
-val apply_op :
-  Targets.Device.t list -> Compiler.Plan.op -> (unit, string) result
-
-(** Interpret every op in order; stops at the first failure. *)
-val apply_ops :
-  Targets.Device.t list -> Compiler.Plan.t -> (unit, string) result
-
-(** Untimed plan execution: freeze the touched devices (unless already
-    inside a caller-held window), interpret the ops, thaw. An op
-    failure rolls the self-frozen devices back and reports the error.
-    With [predicted] (the planner's post-execution snapshots), actual
-    device state is reconciled against the prediction after the thaw
-    ([Targets.Resource.diff]); devices still inside a caller-held
-    window are skipped. With [obs], a "reconfig.run_plan" span (plan
-    name, op count, outcome) is recorded, parented under [parent]. *)
+(** Untimed plan execution: stage the plan and close its window at
+    once. An op failure rolls the self-frozen devices back and reports
+    the error. With [predicted] (the planner's post-execution
+    snapshots), actual device state is reconciled against the
+    prediction after the thaw ([Targets.Resource.diff]); devices still
+    inside a caller-held window are skipped. With [obs], a
+    "reconfig.run_plan" span (plan name, op count, outcome) is
+    recorded, parented under [parent]. *)
 val run_plan :
   ?obs:Obs.Scope.t -> ?parent:Obs.Trace.span ->
   ?predicted:(string * Targets.Resource.snapshot) list ->
   devices:Targets.Device.t list -> Compiler.Plan.t -> (unit, string) result
 
-(** [execute] with {!apply_ops} as the mutation step — the timed
-    plan-only path used by experiments. *)
-val execute_plan :
-  ?on_done:(outcome -> unit) -> ?max_retries:int -> ?retry_backoff:float ->
-  ?stats:Netsim.Stats.Counters.t -> sim:Netsim.Sim.t -> mode:mode ->
-  wireds:Wiring.wired list -> plan:Compiler.Plan.t -> unit -> unit
-
 (** {2 Plan-then-execute entry points}
 
-    These are the only call sites that install or remove elements on
-    devices during deploy/patch: each plans with the pure compiler,
-    executes the winning plan, and reconciles predicted snapshots
-    against the actual device state. *)
+    Each plans with the pure compiler, executes the winning plan
+    through {!run_plan}, and reconciles predicted snapshots against the
+    actual device state. *)
 
 (** Plan and execute a fresh placement of the program on the path.
     @raise Failure if a freshly planned op is rejected by a device —
@@ -108,6 +83,12 @@ val unplace : ?obs:Obs.Scope.t -> Compiler.Placement.t -> unit
 val deploy :
   ?obs:Obs.Scope.t -> path:Targets.Device.t list -> Flexbpf.Ast.program ->
   (Compiler.Incremental.deployment, Compiler.Placement.failure) result
+
+(** Record an executed change on the deployment: its new program and
+    element placement. *)
+val commit_deployment :
+  Compiler.Incremental.deployment -> Compiler.Incremental.planned_change ->
+  unit
 
 (** Plan a patch (candidate search over snapshots, see
     {!Compiler.Incremental.plan_patch}), execute the winning plan,

@@ -673,31 +673,6 @@ let tier_resident_keys t name =
 
 let warm_tier t name keys = Compile.warm_table (compiled_program t) name keys
 
-(** Push the device-tier telemetry of every tiered table into the
-    attached scope as gauges labelled (device, table). No-op when no
-    scope is wired or no table is tiered. *)
-let publish_tier_metrics t =
-  match t.obs_scope with
-  | None -> ()
-  | Some scope ->
-    let m = Obs.Scope.metrics scope in
-    List.iter
-      (fun (s : Compile.tier_stat) ->
-        let labels =
-          ("device", t.dev_id) :: ("table", s.Compile.ts_table) :: t.obs_labels
-        in
-        let gauge name v =
-          Obs.Metrics.set_gauge m ~labels name (float_of_int v)
-        in
-        gauge "table.capacity" s.Compile.ts_capacity;
-        gauge "table.resident" s.Compile.ts_resident;
-        gauge "table.hits" s.Compile.ts_hits;
-        gauge "table.misses" s.Compile.ts_misses;
-        gauge "table.promotions" s.Compile.ts_promotions;
-        gauge "table.evictions" s.Compile.ts_evictions;
-        gauge "table.demotions" s.Compile.ts_demotions)
-      (tier_stats t)
-
 (* -- Utilization / energy --------------------------------------------- *)
 
 let utilization t =

@@ -175,12 +175,6 @@ val tier_resident_keys : t -> string -> Flexbpf.State.key list
     no-op on untiered tables. *)
 val warm_tier : t -> string -> Flexbpf.State.key list -> unit
 
-(** Push tiered-table telemetry into the attached scope as gauges
-    ("table.hits", "table.misses", "table.promotions",
-    "table.evictions", "table.demotions", "table.capacity",
-    "table.resident") labelled (device, table). *)
-val publish_tier_metrics : t -> unit
-
 (** {2 Utilization / energy} *)
 
 (** Most-loaded-dimension occupancy in [0, 1]. *)

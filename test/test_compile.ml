@@ -290,8 +290,8 @@ let envs_agree prog env_a env_b =
       State.snapshot (Interp.env_map env_a m.Ast.map_name)
       = State.snapshot (Interp.env_map env_b m.Ast.map_name))
     prog.Ast.maps
-  && Netsim.Stats.Counters.to_list env_a.Interp.stats
-     = Netsim.Stats.Counters.to_list env_b.Interp.stats
+  && Obs.Metrics.counters_list env_a.Interp.stats
+     = Obs.Metrics.counters_list env_b.Interp.stats
 
 (* -- The differential property ----------------------------------------------- *)
 

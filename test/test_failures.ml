@@ -238,7 +238,7 @@ let test_runtime_fault_containment () =
   ignore (Netsim.Sim.run sim);
   check_int "healthy traffic unaffected" 1 !received;
   check_int "fault counted" 1
-    (Netsim.Stats.Counters.get
+    (Obs.Metrics.get_counter
        (Targets.Device.env dev).Flexbpf.Interp.stats "runtime.error")
 
 let () =

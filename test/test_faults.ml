@@ -79,7 +79,7 @@ let test_link_loss_window () =
   (* p=1.0 over a 100ms window at 1kpps: the window's packets die *)
   check "loss confined to the window" true (lost >= 90 && lost <= 110);
   check "loss counted as injected" true
-    (Netsim.Stats.Counters.get
+    (Obs.Metrics.get_counter
        (Netsim.Faults.counters faults)
        "faults.link.loss_windows"
      > 0)
@@ -136,10 +136,10 @@ let test_drpc_gives_up_after_retries () =
   check "k sees None once the budget is spent" true (!result = None);
   let stats = Runtime.Drpc.stats reg in
   check_int "every retry was taken" 3
-    (Netsim.Stats.Counters.get stats "drpc.retries");
-  check_int "one give-up" 1 (Netsim.Stats.Counters.get stats "drpc.gaveups");
+    (Obs.Metrics.get_counter stats "drpc.retries");
+  check_int "one give-up" 1 (Obs.Metrics.get_counter stats "drpc.gaveups");
   check_int "all four attempts dropped" 4
-    (Netsim.Stats.Counters.get stats "drpc.drops")
+    (Obs.Metrics.get_counter stats "drpc.drops")
 
 let test_drpc_retry_succeeds_after_window () =
   (* the drop window closes before the retry budget runs out, so the
@@ -157,8 +157,8 @@ let test_drpc_retry_succeeds_after_window () =
   check "retry after the window succeeds" true (!result = Some 7L);
   let stats = Runtime.Drpc.stats reg in
   check "at least one retry happened" true
-    (Netsim.Stats.Counters.get stats "drpc.retries" > 0);
-  check_int "no give-up" 0 (Netsim.Stats.Counters.get stats "drpc.gaveups")
+    (Obs.Metrics.get_counter stats "drpc.retries" > 0);
+  check_int "no give-up" 0 (Obs.Metrics.get_counter stats "drpc.gaveups")
 
 let test_drpc_clean_fabric_no_retries () =
   let sim, reg = drpc_fixture [] in
@@ -167,7 +167,7 @@ let test_drpc_clean_fabric_no_retries () =
   ignore (Netsim.Sim.run sim);
   check "delivered first try" true (!result = Some 7L);
   check_int "no retries on a clean fabric" 0
-    (Netsim.Stats.Counters.get (Runtime.Drpc.stats reg) "drpc.retries")
+    (Obs.Metrics.get_counter (Runtime.Drpc.stats reg) "drpc.retries")
 
 (* -- Reconfiguration: crash mid-batch, re-drive or atomic abort ---------- *)
 
@@ -197,9 +197,9 @@ let reconfig_under_crash ~restart_after ~max_retries =
   in
   let outcome = ref None in
   Netsim.Sim.at sim 1.0 (fun () ->
-      Runtime.Reconfig.execute_plan ~sim ~mode:Runtime.Reconfig.Hitless ~wireds
-        ~plan ~max_retries ~retry_backoff:0.02
-        ~on_done:(fun o -> outcome := Some o) ());
+      Runtime.Reconfig.execute ~sim ~mode:Runtime.Reconfig.Hitless ~wireds
+        ~devices:[ dev ] plan ~max_retries ~retry_backoff:0.02
+        ~on_done:(fun o -> outcome := Some o));
   ignore (Netsim.Sim.run sim);
   (dev, Option.get !outcome)
 
@@ -221,6 +221,43 @@ let test_reconfig_atomic_abort () =
   check "element absent after abort" false
     (List.mem "cnt" (Targets.Device.installed_names dev));
   check "device not left frozen" false (Targets.Device.is_frozen dev)
+
+let test_reconfig_rejected_op_aborts () =
+  (* the second op names a device that does not exist: the rejection is
+     deterministic, so the plan aborts at once with the first op's
+     install rolled back *)
+  let sim = Netsim.Sim.create () in
+  let built = Netsim.Topology.linear ~sim ~switches:1 () in
+  let topo = built.Netsim.Topology.topo in
+  let dev = Targets.Device.create ~id:"s0" Targets.Arch.drmt in
+  let wireds =
+    [ Runtime.Wiring.attach topo (List.hd built.Netsim.Topology.switch_list) dev ]
+  in
+  let counter = counter_block () in
+  let other = block "other" [ set_meta "ok" (const 1) ] in
+  let prog =
+    program "p" ~maps:[ map_decl ~key_arity:1 ~size:4 "hits" ] [ counter; other ]
+  in
+  let plan =
+    Compiler.Plan.v "add"
+      [ Compiler.Plan.Install
+          { device = "s0"; element = counter; ctx = prog; order = 0 };
+        Compiler.Plan.Install
+          { device = "s9"; element = other; ctx = prog; order = 1 } ]
+  in
+  let outcome = ref None in
+  Netsim.Sim.at sim 1.0 (fun () ->
+      Runtime.Reconfig.execute ~sim ~mode:Runtime.Reconfig.Hitless ~wireds
+        ~devices:[ dev ] plan ~on_done:(fun o -> outcome := Some o));
+  ignore (Netsim.Sim.run sim);
+  match !outcome with
+  | None -> Alcotest.fail "no outcome reported"
+  | Some o ->
+    check "plan rolled back" true o.Runtime.Reconfig.rolled_back;
+    check_int "no retry of a rejected op" 1 o.Runtime.Reconfig.attempts;
+    check "first op's element absent" false
+      (List.mem "cnt" (Targets.Device.installed_names dev));
+    check "no device left frozen" false (Targets.Device.is_frozen dev)
 
 (* -- Deploy (not patch) under a crash: the whole placement plan comes
    from the pure planner and runs through the same engine, so a crash
@@ -262,9 +299,9 @@ let deploy_under_crash ~restart_after ~max_retries =
   let plan = planned.Compiler.Placement.pln_plan in
   let outcome = ref None in
   Netsim.Sim.at sim 1.0 (fun () ->
-      Runtime.Reconfig.execute_plan ~sim ~mode:Runtime.Reconfig.Hitless ~wireds
-        ~plan ~max_retries ~retry_backoff:0.02
-        ~on_done:(fun o -> outcome := Some o) ());
+      Runtime.Reconfig.execute ~sim ~mode:Runtime.Reconfig.Hitless ~wireds
+        ~devices:devs plan ~max_retries ~retry_backoff:0.02
+        ~on_done:(fun o -> outcome := Some o));
   ignore (Netsim.Sim.run sim);
   (devs, plan, Option.get !outcome)
 
@@ -364,9 +401,8 @@ let prop_old_xor_new (seed, with_crash, crash_at, restart_after, drpc_p, delay) 
   let outcome = ref None in
   Netsim.Sim.at sim 1.0 (fun () ->
       Runtime.Reconfig.execute ~sim ~mode:Runtime.Reconfig.Hitless ~wireds
-        ~plan ~max_retries:2 ~retry_backoff:0.02
-        ~on_done:(fun o -> outcome := Some o)
-        (fun () -> ignore (Targets.Device.install dev ~ctx:prog ~order:0 counter)));
+        ~devices:[ dev ] plan ~max_retries:2 ~retry_backoff:0.02
+        ~on_done:(fun o -> outcome := Some o));
   ignore (Netsim.Sim.run sim);
   match !outcome with
   | None -> false (* the protocol must always report an outcome *)
@@ -452,8 +488,8 @@ let prop_dropped_pages_never_change_forwarding =
         paging_scenario ~seed ~drop_prob ~stop:1e9 ~ndsts:8 ~lookups:48
       in
       let stats = Runtime.Drpc.stats reg in
-      let faults_n = Netsim.Stats.Counters.get stats "table.faults" in
-      let drops = Netsim.Stats.Counters.get stats "table.fault_drops" in
+      let faults_n = Obs.Metrics.get_counter stats "table.faults" in
+      let drops = Obs.Metrics.get_counter stats "table.fault_drops" in
       wrong = 0 && faults_n > 0
       && List.for_all
            (fun (s : Flexbpf.Compile.tier_stat) ->
@@ -475,7 +511,7 @@ let test_paging_full_drop_host_serves () =
        s.Flexbpf.Compile.ts_misses
    | _ -> Alcotest.fail "expected one tiered table");
   check "page drops counted" true
-    (Netsim.Stats.Counters.get (Runtime.Drpc.stats reg) "table.fault_drops" > 0)
+    (Obs.Metrics.get_counter (Runtime.Drpc.stats reg) "table.fault_drops" > 0)
 
 let test_paging_recovers_after_window () =
   (* the drop window eats the first pages (host tier serves, slower);
@@ -493,7 +529,7 @@ let test_paging_recovers_after_window () =
      check_int "both hot keys resident" 2 s.Flexbpf.Compile.ts_resident
    | _ -> Alcotest.fail "expected one tiered table");
   check "windowed drops counted" true
-    (Netsim.Stats.Counters.get (Runtime.Drpc.stats reg) "table.fault_drops" > 0)
+    (Obs.Metrics.get_counter (Runtime.Drpc.stats reg) "table.fault_drops" > 0)
 
 (* Tiered lookups fill one key buffer per table that every packet
    reuses. Three misses are taken before any page completes, so each
@@ -584,9 +620,9 @@ let move_fixture ~crash =
   in
   let outcome = ref None in
   Netsim.Sim.at sim 1.0 (fun () ->
-      Runtime.Reconfig.execute_plan ~sim ~mode:Runtime.Reconfig.Hitless ~wireds
-        ~plan ~max_retries:2 ~retry_backoff:0.02
-        ~on_done:(fun o -> outcome := Some o) ());
+      Runtime.Reconfig.execute ~sim ~mode:Runtime.Reconfig.Hitless ~wireds
+        ~devices:devs plan ~max_retries:2 ~retry_backoff:0.02
+        ~on_done:(fun o -> outcome := Some o));
   ignore (Netsim.Sim.run sim);
   (src, dst, Option.get !outcome)
 
@@ -743,6 +779,8 @@ let () =
         [ Alcotest.test_case "re-drive after crash" `Quick
             test_reconfig_redrive_after_crash;
           Alcotest.test_case "atomic abort" `Quick test_reconfig_atomic_abort;
+          Alcotest.test_case "rejected op aborts" `Quick
+            test_reconfig_rejected_op_aborts;
           Alcotest.test_case "deploy crash: re-drive lands full plan" `Quick
             test_deploy_crash_redrive;
           Alcotest.test_case "deploy crash: atomic abort" `Quick

@@ -95,6 +95,14 @@ let test_tenant_injection_live () =
   check_int "tagged delivered after departure" 2
     stats.Flexnet.delivered_h1
 
+(* Insert telemetry before routing. *)
+let telemetry_patch =
+  Flexbpf.Patch.v "add-telemetry"
+    [ Flexbpf.Patch.Add_map Apps.Telemetry.flow_bytes_map;
+      Flexbpf.Patch.Add_element
+        (Flexbpf.Patch.Before (Flexbpf.Patch.Sel_name "ipv4_lpm"),
+         Apps.Telemetry.flow_counter) ]
+
 let test_hitless_patch_under_traffic () =
   let net = mk_net () in
   let sim = Flexnet.sim net in
@@ -103,18 +111,10 @@ let test_hitless_patch_under_traffic () =
   Netsim.Traffic.cbr gen ~rate_pps:500. ~start:0. ~stop:1.0 ~send:(fun () ->
       incr sent;
       Flexnet.send_h0 net (h0_to_h1_packet net));
-  (* patch at t=0.5: insert telemetry before routing *)
-  let patch =
-    Flexbpf.Patch.v "add-telemetry"
-      [ Flexbpf.Patch.Add_map Apps.Telemetry.flow_bytes_map;
-        Flexbpf.Patch.Add_element
-          (Flexbpf.Patch.Before (Flexbpf.Patch.Sel_name "ipv4_lpm"),
-           Apps.Telemetry.flow_counter) ]
-  in
   let completed = ref None in
   Netsim.Sim.at sim 0.5 (fun () ->
       match
-        Flexnet.patch_hitless net patch ~on_done:(fun report ->
+        Flexnet.patch_hitless net telemetry_patch ~on_done:(fun report ->
             completed := Some report)
       with
       | Ok _ -> ()
@@ -137,6 +137,43 @@ let test_hitless_patch_under_traffic () =
       (Flexnet.path net)
   in
   check "telemetry live after patch" true counted
+
+(* s0 crashes inside the patch's window and restarts on its old program:
+   the engine must re-drive the plan so the device ends on the program
+   the deployment records, not behind it. *)
+let test_hitless_patch_crash_redrive () =
+  let net = mk_net () in
+  let sim = Flexnet.sim net in
+  let s0 = Option.get (Flexnet.device net "s0") in
+  let completed = ref false in
+  Netsim.Sim.at sim 1.0 (fun () ->
+      match
+        Flexnet.patch_hitless net telemetry_patch ~on_done:(fun _ ->
+            completed := true)
+      with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "patch: %a" Compiler.Incremental.pp_error e);
+  Netsim.Sim.at sim 1.02 (fun () -> Targets.Device.crash s0);
+  Netsim.Sim.at sim 1.03 (fun () -> Targets.Device.restart s0);
+  Flexnet.run net ~until:2.0;
+  let dep = Flexnet.deployment_exn net in
+  check "deployment records flow_counter" true
+    (List.exists
+       (fun el -> Flexbpf.Ast.element_name el = "flow_counter")
+       dep.Compiler.Incremental.dep_prog.Flexbpf.Ast.pipeline);
+  check "s0 runs flow_counter" true
+    (List.mem "flow_counter" (Targets.Device.installed_names s0));
+  check "s0 unfrozen" false (Targets.Device.is_frozen s0);
+  let placed_on_s0 =
+    List.filter_map
+      (fun (name, d) -> if d == s0 then Some name else None)
+      dep.Compiler.Incremental.dep_placement.Compiler.Placement.where
+  in
+  Alcotest.(check (list string))
+    "s0 hosts exactly what the deployment places there"
+    (List.sort compare placed_on_s0)
+    (List.sort compare (Targets.Device.installed_names s0));
+  check "completion reported" true !completed
 
 let test_controller_inject_retire () =
   let net = mk_net () in
@@ -234,6 +271,8 @@ let () =
             test_infrastructure_on_each_arch;
           Alcotest.test_case "tenant inject/depart live" `Quick
             test_tenant_injection_live;
+          Alcotest.test_case "hitless patch crash re-drive" `Quick
+            test_hitless_patch_crash_redrive;
           Alcotest.test_case "hitless patch under traffic" `Quick
             test_hitless_patch_under_traffic ] );
       ( "controller",

@@ -110,7 +110,6 @@ let run_reconfig_experiment mode =
       incr sent;
       ignore (send_one topo h0 h1));
   (* install a program on s1 at t=1s via the chosen mode *)
-  let s1 = List.nth devs 1 in
   let counter = block "cnt" [ map_incr "hits" [ const 0 ] ] in
   let prog = program "p" ~maps:[ map_decl ~key_arity:1 ~size:4 "hits" ] [ counter ] in
   let plan =
@@ -119,9 +118,8 @@ let run_reconfig_experiment mode =
   in
   let done_at = ref 0. in
   Netsim.Sim.at sim 1.0 (fun () ->
-      Runtime.Reconfig.execute ~sim ~mode ~wireds ~plan
-        ~on_done:(fun o -> done_at := o.Runtime.Reconfig.finished_at)
-        (fun () -> ignore (Targets.Device.install s1 ~ctx:prog ~order:0 counter)));
+      Runtime.Reconfig.execute ~sim ~mode ~wireds ~devices:devs plan
+        ~on_done:(fun o -> done_at := o.Runtime.Reconfig.finished_at));
   ignore (Netsim.Sim.run sim);
   (!received, !sent, !done_at, wireds)
 
@@ -167,8 +165,8 @@ let test_hitless_two_version_consistency () =
       [ Compiler.Plan.Install { device = "s1"; element = t1; ctx = prog1; order = 1 } ]
   in
   Netsim.Sim.at sim 0.2 (fun () ->
-      Runtime.Reconfig.execute ~sim ~mode:Runtime.Reconfig.Hitless ~wireds ~plan
-        (fun () -> ignore (Targets.Device.install s1 ~ctx:prog1 ~order:1 t1)));
+      Runtime.Reconfig.execute ~sim ~mode:Runtime.Reconfig.Hitless ~wireds
+        ~devices:devs plan);
   ignore (Netsim.Sim.run sim);
   let v_new = Targets.Device.version s1 in
   check "version advanced" true (v_new > v_old);
