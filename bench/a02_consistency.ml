@@ -23,7 +23,7 @@ let counter = block "move_me" [ set_meta "applied" (meta "applied" +: const 1) ]
 let prog = program "p" [ counter ]
 
 let run_discipline discipline =
-  let sim, _topo, h0, h1, devs, _wireds, _ = Common.wired_linear ~switches:3 () in
+  let sim, _topo, h0, h1, devs, wireds, _ = Common.wired_linear ~switches:3 () in
   let s0 = List.nth devs 0 and s2 = List.nth devs 2 in
   ignore (Targets.Device.install s2 ~ctx:prog ~order:0 counter);
   let tallies = Array.make 4 0 in
@@ -46,12 +46,19 @@ let run_discipline discipline =
      Netsim.Sim.at sim 0.4 (fun () -> remove ());
      Netsim.Sim.at sim 0.6 (fun () -> add ())
    | `Simultaneous ->
+     (* both ops staged in one Hitless window; s0 and s2 flip together
+        at the acknowledgement *)
+     let plan =
+       Compiler.Plan.v "move"
+         [ Compiler.Plan.Install
+             { device = Targets.Device.id s0; element = counter; ctx = prog;
+               order = 0 };
+           Compiler.Plan.Remove
+             { device = Targets.Device.id s2; element_name = "move_me" } ]
+     in
      Netsim.Sim.at sim 0.4 (fun () ->
-         ignore
-           (Control.Consistent.update ~sim
-              ~discipline:Control.Consistent.Simultaneous
-              ~path_order:[ s0; s2 ]
-              (fun () -> add (); remove ()))));
+         Runtime.Reconfig.execute ~sim ~mode:Runtime.Reconfig.Hitless ~wireds
+           ~devices:[ s0; s2 ] plan));
   ignore (Netsim.Sim.run sim);
   tallies
 

@@ -27,15 +27,6 @@ type report = {
   cost : Plan.cost; (* full annotation incl. per-device resource deltas *)
 }
 
-(** Device-id -> timing profile over a path. Delegates to
-    {!Plan.times_of_devices} — the single op-serialization cost model. *)
-val times_of_path :
-  Targets.Device.t list -> string -> Targets.Arch.reconfig_times
-
-val report_of_plan :
-  path:Targets.Device.t list ->
-  deltas:(string * Targets.Resource.t) list -> Plan.t -> report
-
 type error =
   | Patch_error of string
   | Placement_error of Placement.failure

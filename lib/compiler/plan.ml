@@ -113,14 +113,6 @@ let cost_of ~times_of ~deltas t =
     c_duration = duration ~times_of t;
     c_deltas = deltas }
 
-let pp_cost ppf c =
-  Fmt.pf ppf "@[<v>work=%.3fs duration=%.3fs%a@]" c.c_total_work c.c_duration
-    (fun ppf deltas ->
-      List.iter
-        (fun (d, r) -> Fmt.pf ppf "@ %s: %a" d Targets.Resource.pp r)
-        deltas)
-    c.c_deltas
-
 (** Cross-check of the program's static WCET certificate
     ([Flexbpf.Dataflow.Cost]) against the planner's syntax-directed
     heuristic ([Flexbpf.Analysis.max_cycles]). The two agree exactly on

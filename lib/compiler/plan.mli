@@ -79,8 +79,6 @@ val cost_of :
   times_of:(string -> Targets.Arch.reconfig_times) ->
   deltas:(string * Targets.Resource.t) list -> t -> cost
 
-val pp_cost : Format.formatter -> cost -> unit
-
 (** Cross-check of the static WCET certificate
     ([Flexbpf.Dataflow.Cost]) against the planner's heuristic
     ([Flexbpf.Analysis.max_cycles]); [ck_divergent] when the heuristic

@@ -42,8 +42,6 @@ val lookup : t -> Uri.t -> app option
 (** Device ids hosting the app. *)
 val app_locations : t -> Uri.t -> string list
 
-val all_apps : t -> app list
-
 (** {2 App-level management operations} *)
 
 type op_error = Unknown_app | Unknown_device | Operation_failed of string

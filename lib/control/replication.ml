@@ -3,18 +3,15 @@
     multiple physical devices."
 
     A replication group keeps one primary map synchronized to backup
-    devices, either by periodic control-plane sync or per-call dRPC
-    replication. On primary failure, a backup is promoted; the loss
-    window is whatever changed since the last sync. *)
-
-type mode = Periodic_sync of float (* period seconds *) | Drpc_sync
+    devices by periodic control-plane sync. On primary failure, a backup
+    is promoted; the loss window is whatever changed since the last
+    sync. *)
 
 type t = {
   sim : Netsim.Sim.t;
   map_name : string;
   mutable primary : Targets.Device.t;
   mutable backups : Targets.Device.t list;
-  mode : mode;
   mutable member_ids : string list; (* ever-members, for rejoin checks *)
   mutable syncs : int;
   mutable failovers : int;
@@ -35,18 +32,15 @@ let sync_once t =
       Runtime.Migration.transfer_snapshot ~src:t.primary ~dst:b [ t.map_name ])
     t.backups
 
-let create ~sim ~map_name ~primary ~backups mode =
+let create ~sim ~map_name ~primary ~backups ~period =
   let t =
-    { sim; map_name; primary; backups; mode;
+    { sim; map_name; primary; backups;
       member_ids = List.map Targets.Device.id (primary :: backups);
       syncs = 0; failovers = 0; rejoins = 0; last_sync = 0.; running = true }
   in
-  (match mode with
-   | Periodic_sync period ->
-     Netsim.Sim.every sim ~period (fun () ->
-         if t.running then sync_once t;
-         t.running)
-   | Drpc_sync -> ());
+  Netsim.Sim.every sim ~period (fun () ->
+      if t.running then sync_once t;
+      t.running);
   t
 
 let stop t = t.running <- false

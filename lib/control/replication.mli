@@ -1,16 +1,15 @@
 (** State replication and failover (§3.4): "the FlexNet controller
     replicates important network state in a logical datapath across
     multiple physical devices." A group keeps one primary map
-    synchronized to backups; on primary failure a backup is promoted,
-    the loss window being whatever changed since the last sync. *)
-
-type mode = Periodic_sync of float (* period, seconds *) | Drpc_sync
+    synchronized to backups every [period] seconds; on primary failure
+    a backup is promoted, the loss window being whatever changed since
+    the last sync. *)
 
 type t
 
 val create :
   sim:Netsim.Sim.t -> map_name:string -> primary:Targets.Device.t ->
-  backups:Targets.Device.t list -> mode -> t
+  backups:Targets.Device.t list -> period:float -> t
 
 (** Stop periodic syncing. *)
 val stop : t -> unit

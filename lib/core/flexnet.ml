@@ -157,8 +157,8 @@ let add_tenant t ext = Control.Tenants.admit (tenants_exn t) ext
 let remove_tenant t name = Control.Tenants.depart (tenants_exn t) name
 
 (** Deploy a network-wide policy over the switch datapath: slice per
-    switch (s0, s1, ... get switch values 0, 1, ...) and install all
-    slices under one two-version window. *)
+    switch (s0, s1, ... get switch values 0, 1, ...), plan every slice,
+    and install them as one plan. *)
 let deploy_policy ?owner ~name t pol =
   let devices =
     List.mapi (fun i d -> (d, Int64.of_int i)) (switch_devices t)

@@ -83,14 +83,17 @@ val remove_tenant :
   (Compiler.Incremental.report, Control.Tenants.departure_error) result
 
 (** Deploy a network-wide policy over the switch datapath: switch
-    device [s]{e i} receives the slice for [sw = i], and every slice
-    lands under one two-version window — traffic observes the
-    pre-policy network or the complete policy, never a mix. *)
+    device [s]{e i} receives the slice for [sw = i]. Every slice is
+    planned over snapshots first, then all of them run as one plan
+    through {!Runtime.Reconfig.run_plan} — traffic observes the
+    pre-policy network or the complete policy, never a mix. A switch
+    inside a hitless patch's window takes its slice at that window's
+    acknowledgement. *)
 val deploy_policy :
   ?owner:string -> name:string -> t -> Policy.Ast.pol ->
   (Policy.Deploy.deployment, Policy.Deploy.error) result
 
-(** Remove a deployed policy from its devices (one window). *)
+(** Remove a deployed policy from its devices (one plan). *)
 val remove_policy : t -> Policy.Deploy.deployment -> (unit, string) result
 
 (** Apply a patch hitlessly over simulated time: plan it over

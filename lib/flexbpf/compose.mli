@@ -9,9 +9,6 @@
 (** ["owner/name"], unless the name is already namespaced. *)
 val namespaced : string -> string -> string
 
-(** Owner of a namespaced name ("infra" when unqualified). *)
-val owner_of_name : string -> string
-
 (** Namespace an extension program under its owner, rewriting every
     internal map reference. *)
 val namespace : Ast.program -> Ast.program

@@ -34,8 +34,6 @@ let create ?(size = 1000) ?(born = 0.) headers =
   { uid = 1 + Atomic.fetch_and_add counter 1; headers; meta = Hashtbl.create 8;
     size; born; epoch = 0; shape_cache = None }
 
-let reset_uid_counter () = Atomic.set counter 0
-
 (* Header and field lookups are top-level recursions that return a
    sentinel or a default: per-hop code reads through them without
    allocating an option or a closure. *)

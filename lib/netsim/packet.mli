@@ -26,9 +26,6 @@ type t = {
 
 val create : ?size:int -> ?born:float -> header list -> t
 
-(** Reset the global uid counter (test isolation). *)
-val reset_uid_counter : unit -> unit
-
 val header : t -> string -> header option
 val has_header : t -> string -> bool
 
@@ -43,12 +40,6 @@ val field_exn : t -> string -> string -> int64
 
 (** @raise Invalid_argument when the header or field is absent. *)
 val set_field : t -> string -> string -> int64 -> unit
-
-(** [set_field] on an already-resolved header — the compiled fast path
-    caches header lookups and writes through this. [hname] only labels
-    the error; messages match [set_field]'s.
-    @raise Invalid_argument when the field is absent. *)
-val set_header_field : hname:string -> header -> string -> int64 -> unit
 
 (** Push as the new outermost header. *)
 val push_header : t -> header -> unit

@@ -13,17 +13,3 @@ module Summary : sig
   val stddev : t -> float
   val pp : Format.formatter -> t -> unit
 end
-
-(** Fixed-capacity reservoir sample for percentile estimates. *)
-module Reservoir : sig
-  type t
-
-  val create : ?capacity:int -> ?seed:int -> unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-
-  (** [percentile t p] for [p] in [0, 100]. *)
-  val percentile : t -> float -> float
-
-  val median : t -> float
-end

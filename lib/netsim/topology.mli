@@ -26,9 +26,6 @@ val connect :
   ?bandwidth:float -> ?delay:float -> ?queue_capacity:int ->
   ?ecn_threshold:int -> t -> Node.t -> Node.t -> int * int
 
-(** BFS hop distances from [dst] ([max_int] = unreachable). *)
-val distances : t -> dst:int -> int array
-
 (** All equal-cost next-hop ports from [src] toward [dst], sorted. *)
 val next_hops : t -> src:int -> dst:int -> int list
 

@@ -150,12 +150,6 @@ let tcp_packet ?(size = 1000) ?(flags = Packet.tcp_flag_ack) ~src ~dst ~sport
       Packet.tcp ~sport:(Int64.of_int sport) ~dport:(Int64.of_int dport) ~flags
         () ]
 
-let udp_packet ?(size = 1000) ~src ~dst ~sport ~dport ~born () =
-  Packet.create ~size ~born
-    [ Packet.ethernet ~src:(Int64.of_int src) ~dst:(Int64.of_int dst) ();
-      Packet.ipv4 ~src:(Int64.of_int src) ~dst:(Int64.of_int dst) ~proto:17L ();
-      Packet.udp ~sport:(Int64.of_int sport) ~dport:(Int64.of_int dport) () ]
-
 (** SYN packet with a spoofed random source, as emitted by flood attacks. *)
 let spoofed_syn t ~dst ~dport ~born =
   let src = 100000 + Random.State.int t.rng 900000 in

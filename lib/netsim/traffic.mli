@@ -57,9 +57,5 @@ val tcp_packet :
   ?size:int -> ?flags:int64 -> src:int -> dst:int -> sport:int -> dport:int ->
   born:float -> unit -> Packet.t
 
-val udp_packet :
-  ?size:int -> src:int -> dst:int -> sport:int -> dport:int -> born:float ->
-  unit -> Packet.t
-
 (** SYN with a random spoofed source, as emitted by flood attacks. *)
 val spoofed_syn : t -> dst:int -> dport:int -> born:float -> Packet.t

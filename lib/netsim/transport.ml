@@ -52,17 +52,15 @@ and t = {
   sim : Sim.t;
   mutable rto : float;
   endpoints : (int, endpoint) Hashtbl.t; (* node id -> endpoint *)
-  fct : Stats.Summary.t; (* flow completion times *)
   mutable completed : int;
   mutable flow_counter : int;
   mutable on_complete : flow -> unit;
 }
 
 let create ?(rto = 0.05) sim =
-  { sim; rto; endpoints = Hashtbl.create 16; fct = Stats.Summary.create ();
-    completed = 0; flow_counter = 0; on_complete = ignore }
+  { sim; rto; endpoints = Hashtbl.create 16; completed = 0; flow_counter = 0;
+    on_complete = ignore }
 
-let fct_summary t = t.fct
 let completed t = t.completed
 let set_on_complete t f = t.on_complete <- f
 
@@ -142,7 +140,6 @@ let handle_ack t ep pkt =
       flow.cwnd <- ep.cc.on_ack ~cwnd:flow.cwnd ~ecn ~rtt;
       if flow.acked >= flow.total then begin
         flow.done_at <- Some now;
-        Stats.Summary.add t.fct (now -. flow.started);
         t.completed <- t.completed + 1;
         t.on_complete flow
       end

@@ -44,9 +44,6 @@ type t
 
 val create : ?rto:float -> Sim.t -> t
 
-(** Flow-completion-time summary across all completed flows. *)
-val fct_summary : t -> Stats.Summary.t
-
 val completed : t -> int
 val set_on_complete : t -> (flow -> unit) -> unit
 

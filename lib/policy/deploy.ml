@@ -15,16 +15,46 @@ type deployment = {
   dp_devices : (D.t * Compile.lowered) list;
 }
 
-let install_ops lowered =
-  List.concat_map
-    (fun (id, lw) ->
-      List.mapi
-        (fun i el ->
-          Compiler.Plan.Install
-            { device = id; element = el; ctx = lw.Compile.lw_prog;
-              order = i })
-        lw.Compile.lw_prog.Flexbpf.Ast.pipeline)
-    lowered
+(* Plan every slice over its device's snapshot before any device is
+   touched: one Install per element, in pipeline order. Returns the
+   concatenated ops and the predicted snapshots. *)
+let plan_slices slices =
+  List.fold_left
+    (fun acc (dev, lw) ->
+      Result.bind acc (fun (ops, snaps) ->
+          match Compiler.Placement.plan ~path:[ dev ] lw.Compile.lw_prog with
+          | Error f ->
+            Error (Runtime_error (Fmt.str "%a" Compiler.Placement.pp_failure f))
+          | Ok pl ->
+            Ok
+              ( ops @ pl.Compiler.Placement.pln_plan.Compiler.Plan.ops,
+                snaps @ pl.Compiler.Placement.pln_snaps )))
+    (Ok ([], [])) slices
+
+let removal_plan dp =
+  Compiler.Plan.v ("policy:" ^ dp.dp_name ^ ":remove")
+    (List.concat_map
+       (fun (d, lw) ->
+         List.map
+           (fun el ->
+             Compiler.Plan.Remove
+               { device = D.id d;
+                 element_name = Flexbpf.Ast.element_name el })
+           lw.Compile.lw_prog.Flexbpf.Ast.pipeline)
+       dp.dp_devices)
+
+let undeploy ?obs dp =
+  Runtime.Reconfig.run_plan ?obs ~devices:(List.map fst dp.dp_devices)
+    (removal_plan dp)
+
+let install_rules slices =
+  List.iter
+    (fun (d, lw) ->
+      List.iter
+        (fun (tbl, rules) ->
+          List.iter (Flexbpf.Interp.install_rule (D.env d) tbl) rules)
+        lw.Compile.lw_rules)
+    slices
 
 let deploy ?obs ?(owner = "infra") ~name ~devices pol =
   let assignment = List.map (fun (d, sw) -> (D.id d, sw)) devices in
@@ -32,58 +62,27 @@ let deploy ?obs ?(owner = "infra") ~name ~devices pol =
   | Error e -> Error (Compile_error e)
   | Ok lowered ->
     let devs = List.map fst devices in
-    let by_id id = List.find (fun d -> D.id d = id) devs in
-    let plan = Compiler.Plan.v ("policy:" ^ name) (install_ops lowered) in
-    (* one caller-held window across every touched device: traffic sees
-       the pre-policy network until all devices thaw *)
-    List.iter D.freeze devs;
-    let rollback_all () = List.iter D.rollback devs in
-    (match Runtime.Reconfig.run_plan ?obs ~devices:devs plan with
-     | Error msg ->
-       rollback_all ();
-       Error (Runtime_error msg)
-     | Ok () ->
-       (* rules are invisible to the old program (it never references
-          the new tables), so installing inside the window is safe *)
+    let slices =
+      List.map (fun (id, lw) -> (List.find (fun d -> D.id d = id) devs, lw))
+        lowered
+    in
+    (match plan_slices slices with
+     | Error _ as e -> e
+     | Ok (ops, predicted) ->
        (match
-          List.iter
-            (fun (id, lw) ->
-              let env = D.env (by_id id) in
-              List.iter
-                (fun (tbl, rules) ->
-                  List.iter (Flexbpf.Interp.install_rule env tbl) rules)
-                lw.Compile.lw_rules)
-            lowered
+          Runtime.Reconfig.run_plan ?obs ~predicted ~devices:devs
+            (Compiler.Plan.v ("policy:" ^ name) ops)
         with
-        | () ->
-          List.iter D.thaw devs;
-          Ok
+        | Error msg -> Error (Runtime_error msg)
+        | Ok () ->
+          let dp =
             { dp_name = name; dp_owner = owner; dp_pol = pol;
-              dp_devices =
-                List.map (fun (id, lw) -> (by_id id, lw)) lowered }
-        | exception Flexbpf.Interp.Eval_error msg ->
-          rollback_all ();
-          Error (Runtime_error msg)))
-
-let undeploy ?obs dp =
-  let devs = List.map fst dp.dp_devices in
-  let ops =
-    List.concat_map
-      (fun (d, lw) ->
-        List.map
-          (fun el ->
-            Compiler.Plan.Remove
-              { device = D.id d;
-                element_name = Flexbpf.Ast.element_name el })
-          lw.Compile.lw_prog.Flexbpf.Ast.pipeline)
-      dp.dp_devices
-  in
-  let plan = Compiler.Plan.v ("policy:" ^ dp.dp_name ^ ":remove") ops in
-  List.iter D.freeze devs;
-  match Runtime.Reconfig.run_plan ?obs ~devices:devs plan with
-  | Ok () ->
-    List.iter D.thaw devs;
-    Ok ()
-  | Error msg ->
-    List.iter D.rollback devs;
-    Error msg
+              dp_devices = slices }
+          in
+          (* no simulator event runs before the rules land, so no packet
+             meets a policy table without its rules *)
+          (match install_rules slices with
+           | () -> Ok dp
+           | exception Flexbpf.Interp.Eval_error msg ->
+             ignore (undeploy ?obs dp);
+             Error (Runtime_error msg))))

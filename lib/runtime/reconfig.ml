@@ -5,9 +5,9 @@
     plans over resource snapshots and this module interprets the ops.
 
     Both entry points share one staging step: freeze the devices the
-    plan touches structurally (those not already inside a caller-held
-    window), interpret the ops, and roll the opened windows back on an
-    op failure.
+    plan touches structurally (those not already inside another plan's
+    open window, whose ops ride that window), interpret the ops, and
+    roll the opened windows back on an op failure.
 
     - [run_plan] (untimed, used by the control plane) closes its window
       at once and — when the planner supplied predicted snapshots —
@@ -203,7 +203,7 @@ let stage ~devices plan =
     once, so the plan is transactional over the devices this call
     froze. With [predicted] (the planner's post-execution snapshots),
     the actual device state is reconciled against the prediction after
-    the thaw; devices still inside a caller-held window are skipped —
+    the thaw; devices still inside another plan's window are skipped —
     their deferred cleanups have not run yet. *)
 let run_plan ?obs ?parent ?predicted ~devices plan =
   (* untimed: the span records structure (plan name, op count, outcome)

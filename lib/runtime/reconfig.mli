@@ -1,10 +1,12 @@
 (** The one reconfiguration engine: every change to a live datapath —
     deploy, patch, recompile, GC/defragment, state migration — arrives
     here as a [Compiler.Plan.t] and is executed against the devices
-    under two-version windows. [run_plan] and [execute] share one
-    staging step: freeze the devices the plan touches (unless already
-    inside a caller-held window), interpret the ops, roll back on an op
-    failure.
+    under two-version windows. This is the only module that opens or
+    closes a device window. [run_plan] and [execute] share one staging
+    step: freeze the devices the plan touches, interpret the ops, roll
+    back on an op failure. Ops on a device already inside another
+    plan's open window ride that window: they become visible at its
+    acknowledgement, and this plan never closes or undoes it.
 
     - [Hitless] (runtime programmable): touched devices keep serving
       traffic with their old program; the window closes at the
@@ -53,7 +55,7 @@ val execute :
     the error. With [predicted] (the planner's post-execution
     snapshots), actual device state is reconciled against the
     prediction after the thaw ([Targets.Resource.diff]); devices still
-    inside a caller-held window are skipped. With [obs], a
+    inside another plan's window are skipped. With [obs], a
     "reconfig.run_plan" span (plan name, op count, outcome) is
     recorded, parented under [parent]. *)
 val run_plan :

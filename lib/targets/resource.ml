@@ -610,7 +610,3 @@ let diff predicted actual =
     List.sort compare predicted.map_refs <> List.sort compare actual.map_refs
   then say "map refcounts differ";
   List.rev !out
-
-let pp_snapshot ppf snap =
-  Fmt.pf ppf "%s: %d placed, used %a" snap.snap_device
-    (List.length snap.placed) pp (used snap)

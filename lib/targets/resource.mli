@@ -164,5 +164,3 @@ val used : snapshot -> t
 (** Structural differences between a predicted and an observed
     snapshot — empty when the planner's model matched the device. *)
 val diff : snapshot -> snapshot -> string list
-
-val pp_snapshot : Format.formatter -> snapshot -> unit

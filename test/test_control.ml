@@ -1,6 +1,6 @@
 (* Tests for the control plane: URIs, the element-level device API,
-   tenant lifecycle, elastic scaling, consistent updates, replication,
-   and the Raft-based distributed controller. *)
+   tenant lifecycle, elastic scaling, replication, and the Raft-based
+   distributed controller. *)
 
 open Flexbpf.Builder
 
@@ -249,59 +249,6 @@ let test_elastic_cooldown () =
   ignore (Netsim.Sim.run ~until:2.0 sim);
   check_int "cooldown suppressed thrashing" 1 !changes
 
-(* -- Consistent updates ---------------------------------------------------------------- *)
-
-let test_ordered_update_flips_egress_first () =
-  let sim = Netsim.Sim.create () in
-  let devs =
-    List.map
-      (fun id -> Targets.Device.create ~id Targets.Arch.drmt)
-      [ "ingress"; "middle"; "egress" ]
-  in
-  let t = fwd_table in
-  let prog = program "p" [ t ] in
-  List.iter (fun d -> ignore (Targets.Device.install d ~ctx:prog ~order:0 t)) devs;
-  let flip_order = ref [] in
-  let mutate () =
-    List.iter
-      (fun d ->
-        let b = block "extra" [ set_meta "x" (const 1) ] in
-        ignore (Targets.Device.install d ~ctx:(program "p2" [ b ]) ~order:1 b))
-      devs
-  in
-  let completed =
-    Control.Consistent.update ~sim ~discipline:Control.Consistent.Ordered
-      ~path_order:devs mutate
-  in
-  (* watch which devices are still frozen over time *)
-  let sample t =
-    Netsim.Sim.at sim t (fun () ->
-        flip_order :=
-          List.map (fun d -> Targets.Device.is_frozen d) devs :: !flip_order)
-  in
-  sample 0.01;
-  sample 0.08;
-  sample 0.13;
-  sample 0.2;
-  ignore (Netsim.Sim.run sim);
-  check "completion time scheduled" true (completed > 0.);
-  (match List.rev !flip_order with
-   | [ s1; s2; s3; s4 ] ->
-     check "all frozen at start" true (s1 = [ true; true; true ]);
-     check "egress thaws first" true (s2 = [ true; true; false ]);
-     check "middle next" true (s3 = [ true; false; false ]);
-     check "all thawed at end" true (s4 = [ false; false; false ])
-   | _ -> Alcotest.fail "samples missing")
-
-let test_trace_consistency_checker () =
-  let old_versions = [ ("a", 1); ("b", 1) ] in
-  let new_versions = [ ("a", 2); ("b", 2) ] in
-  let ok = Control.Consistent.trace_consistent ~old_versions ~new_versions in
-  check "all old" true (ok [ ("a", 1); ("b", 1) ]);
-  check "all new" true (ok [ ("a", 2); ("b", 2) ]);
-  check "mixed valid cut" true (ok [ ("a", 1); ("b", 2) ]);
-  check "unknown version invalid" false (ok [ ("a", 3) ])
-
 (* -- Replication ---------------------------------------------------------------------- *)
 
 let counting_device id =
@@ -330,7 +277,7 @@ let test_replication_and_failover () =
   let backup = counting_device "backup" in
   let group =
     Control.Replication.create ~sim ~map_name:"state" ~primary
-      ~backups:[ backup ] (Control.Replication.Periodic_sync 0.1)
+      ~backups:[ backup ] ~period:0.1
   in
   (* updates arrive over time; syncs happen every 100ms *)
   for i = 1 to 5 do
@@ -539,9 +486,6 @@ let () =
       ( "elastic",
         [ Alcotest.test_case "scaling" `Quick test_elastic_scaling;
           Alcotest.test_case "cooldown" `Quick test_elastic_cooldown ] );
-      ( "consistent",
-        [ Alcotest.test_case "ordered flips" `Quick test_ordered_update_flips_egress_first;
-          Alcotest.test_case "trace checker" `Quick test_trace_consistency_checker ] );
       ( "replication",
         [ Alcotest.test_case "sync+failover" `Quick test_replication_and_failover ] );
       ( "controller",

@@ -49,7 +49,7 @@ let test_failover_under_traffic () =
   let backup = counting_device "backup" in
   let group =
     Control.Replication.create ~sim ~map_name:"state" ~primary
-      ~backups:[ backup ] (Control.Replication.Periodic_sync 0.05)
+      ~backups:[ backup ] ~period:0.05
   in
   (* traffic is steered through the replication group's primary — the
      handle pattern the controller uses for stateful apps *)

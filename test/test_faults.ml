@@ -691,7 +691,7 @@ let test_replication_failover_and_rejoin () =
   let backup = counting_device "backup" in
   let group =
     Control.Replication.create ~sim ~map_name:"state" ~primary
-      ~backups:[ backup ] (Control.Replication.Periodic_sync 0.05)
+      ~backups:[ backup ] ~period:0.05
   in
   let faults =
     Netsim.Faults.create ~sim ~seed:4

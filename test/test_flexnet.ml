@@ -175,6 +175,97 @@ let test_hitless_patch_crash_redrive () =
     (List.sort compare (Targets.Device.installed_names s0));
   check "completion reported" true !completed
 
+(* A policy deployed inside a hitless patch's window on s0 rides that
+   window: the deploy must neither thaw s0 early nor undo the patch. *)
+let policy_in_patch_window ?(prepare = fun _ -> ()) () =
+  let net = mk_net () in
+  let sim = Flexnet.sim net in
+  let s0 = Option.get (Flexnet.device net "s0") in
+  prepare net;
+  let pol = Policy.Syntax.parse "(filter sw = 0; fwd 2) + (filter sw = 1; fwd 2)" in
+  let live_at_ack = ref None in
+  let deployed = ref None in
+  let active_names d =
+    List.map Flexbpf.Ast.element_name
+      (Targets.Device.active_program d).Flexbpf.Ast.pipeline
+  in
+  Netsim.Sim.at sim 1.0 (fun () ->
+      (match
+         Flexnet.patch_hitless net telemetry_patch ~on_done:(fun _ ->
+             live_at_ack := Some (active_names s0))
+       with
+       | Ok _ -> ()
+       | Error e -> Alcotest.failf "patch: %a" Compiler.Incremental.pp_error e);
+      let result = Flexnet.deploy_policy ~name:"pol" net pol in
+      deployed :=
+        Some (result, Targets.Device.is_frozen s0, active_names s0));
+  Flexnet.run net ~until:2.0;
+  (net, s0, Option.get !deployed, !live_at_ack)
+
+let test_policy_rides_patch_window () =
+  let _net, s0, (result, frozen, active), live_at_ack =
+    policy_in_patch_window ()
+  in
+  (match result with
+   | Ok _ -> ()
+   | Error e ->
+     Alcotest.failf "deploy_policy: %a" Policy.Deploy.pp_error e);
+  check "s0 still frozen when deploy_policy returns" true frozen;
+  check "patch not live before the ack" false (List.mem "flow_counter" active);
+  check "policy not live before the ack" false (List.mem "pol" active);
+  (match live_at_ack with
+   | None -> Alcotest.fail "patch acknowledgement not observed"
+   | Some names ->
+     check "patch live at the ack" true (List.mem "flow_counter" names);
+     check "policy live at the ack" true (List.mem "pol" names));
+  check "s0 unfrozen after the ack" false (Targets.Device.is_frozen s0)
+
+(* s1's parser states are filled, so the policy slice for s1 cannot be
+   placed: the deploy fails before any device is touched and the patch
+   staged on s0 survives. *)
+let test_rejected_policy_keeps_patch () =
+  let fill net =
+    let s1 = Option.get (Flexnet.device net "s1") in
+    List.iter
+      (fun i ->
+        let prog =
+          Flexbpf.Compose.namespace
+            (Apps.Firewall.program ~owner:(Printf.sprintf "t%d" i) ())
+        in
+        List.iteri
+          (fun order el ->
+            ignore (Targets.Device.install s1 ~ctx:prog ~order:(100 + order) el))
+          prog.Flexbpf.Ast.pipeline)
+      [ 0; 1; 2; 3 ]
+  in
+  let net, s0, (result, _, _), live_at_ack =
+    policy_in_patch_window ~prepare:fill ()
+  in
+  (match result with
+   | Ok _ -> Alcotest.fail "policy deployed onto a full parser"
+   | Error _ -> ());
+  List.iter
+    (fun d ->
+      check (Targets.Device.id d ^ " holds no policy element") false
+        (List.mem "pol" (Targets.Device.installed_names d)))
+    (Flexnet.path net);
+  (match live_at_ack with
+   | None -> Alcotest.fail "patch acknowledgement not observed"
+   | Some names ->
+     check "patch live at the ack" true (List.mem "flow_counter" names));
+  check "s0 runs flow_counter" true
+    (List.mem "flow_counter" (Targets.Device.installed_names s0));
+  let dep = Flexnet.deployment_exn net in
+  let placed_on_s0 =
+    List.filter_map
+      (fun (name, d) -> if d == s0 then Some name else None)
+      dep.Compiler.Incremental.dep_placement.Compiler.Placement.where
+  in
+  Alcotest.(check (list string))
+    "s0 hosts exactly what the deployment places there"
+    (List.sort compare placed_on_s0)
+    (List.sort compare (Targets.Device.installed_names s0))
+
 let test_controller_inject_retire () =
   let net = mk_net () in
   let ctl = Flexnet.controller net in
@@ -274,7 +365,11 @@ let () =
           Alcotest.test_case "hitless patch crash re-drive" `Quick
             test_hitless_patch_crash_redrive;
           Alcotest.test_case "hitless patch under traffic" `Quick
-            test_hitless_patch_under_traffic ] );
+            test_hitless_patch_under_traffic;
+          Alcotest.test_case "policy rides patch window" `Quick
+            test_policy_rides_patch_window;
+          Alcotest.test_case "rejected policy keeps patch" `Quick
+            test_rejected_policy_keeps_patch ] );
       ( "controller",
         [ Alcotest.test_case "inject+retire" `Quick test_controller_inject_retire;
           Alcotest.test_case "digest subscription" `Quick

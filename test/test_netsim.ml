@@ -498,14 +498,6 @@ let test_summary () =
   Alcotest.(check (float 1e-6)) "stddev" (sqrt 2.5)
     (Netsim.Stats.Summary.stddev s)
 
-let test_reservoir_percentiles () =
-  let r = Netsim.Stats.Reservoir.create ~capacity:1000 () in
-  for i = 1 to 1000 do
-    Netsim.Stats.Reservoir.add r (float_of_int i)
-  done;
-  let p50 = Netsim.Stats.Reservoir.percentile r 50. in
-  check "median near 500" true (p50 > 450. && p50 < 550.)
-
 (* Netsim components count into an Obs.Metrics registry directly; the
    injector's registry accumulates with [~by] and reads missing series
    as zero. *)
@@ -606,7 +598,6 @@ let () =
           Alcotest.test_case "zipf tail mass" `Quick test_zipf_tail_mass ] );
       ( "stats",
         [ Alcotest.test_case "summary" `Quick test_summary;
-          Alcotest.test_case "reservoir" `Quick test_reservoir_percentiles;
           Alcotest.test_case "counters" `Quick test_counters ] );
       ( "transport",
         [ Alcotest.test_case "flow completes" `Quick test_transport_completes;
