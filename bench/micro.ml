@@ -234,28 +234,20 @@ let benchmarks =
 let strip_group name =
   String.concat "" (String.split_on_char '/' name |> List.tl)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_json path estimates speedups =
   let oc = open_out path in
   output_string oc "{\n  \"ns_per_op\": {\n";
   List.iteri
     (fun i (name, est) ->
-      Printf.fprintf oc "    \"%s\": %.1f%s\n" (json_escape name) est
+      Printf.fprintf oc "    \"%s\": %.1f%s\n"
+        (Obs.Export.json_escape name) est
         (if i = List.length estimates - 1 then "" else ","))
     estimates;
   output_string oc "  },\n  \"speedup\": {\n";
   List.iteri
     (fun i (name, x) ->
-      Printf.fprintf oc "    \"%s\": %.2f%s\n" (json_escape name) x
+      Printf.fprintf oc "    \"%s\": %.2f%s\n"
+        (Obs.Export.json_escape name) x
         (if i = List.length speedups - 1 then "" else ","))
     speedups;
   output_string oc "  }\n}\n";

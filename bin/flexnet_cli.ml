@@ -340,61 +340,6 @@ let demo_scenario ?on_done net =
 
 (* -- plan --------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* Append a program's maps, parser rules, and elements to the live
-   infrastructure — the patch shape tenant admission uses. Headers,
-   parser rules, and maps the base program already declares are
-   skipped. *)
-let extension_patch ~(base : Flexbpf.Ast.program) (ext : Flexbpf.Ast.program) =
-  let new_headers =
-    List.filter
-      (fun (h : Flexbpf.Ast.header_decl) ->
-        not
-          (List.exists
-             (fun (b : Flexbpf.Ast.header_decl) ->
-               b.Flexbpf.Ast.hdr_name = h.Flexbpf.Ast.hdr_name)
-             base.Flexbpf.Ast.headers))
-      ext.Flexbpf.Ast.headers
-  in
-  let new_parser =
-    List.filter
-      (fun (r : Flexbpf.Ast.parser_rule) ->
-        not
-          (List.exists
-             (fun (b : Flexbpf.Ast.parser_rule) ->
-               b.Flexbpf.Ast.pr_name = r.Flexbpf.Ast.pr_name)
-             base.Flexbpf.Ast.parser))
-      ext.Flexbpf.Ast.parser
-  in
-  let new_maps =
-    List.filter
-      (fun (m : Flexbpf.Ast.map_decl) ->
-        not
-          (List.exists
-             (fun (b : Flexbpf.Ast.map_decl) ->
-               b.Flexbpf.Ast.map_name = m.Flexbpf.Ast.map_name)
-             base.Flexbpf.Ast.maps))
-      ext.Flexbpf.Ast.maps
-  in
-  Flexbpf.Patch.v ~owner:ext.Flexbpf.Ast.owner
-    ("plan-" ^ ext.Flexbpf.Ast.prog_name)
-    (List.map (fun h -> Flexbpf.Patch.Add_header h) new_headers
-     @ List.map (fun m -> Flexbpf.Patch.Add_map m) new_maps
-     @ List.map (fun r -> Flexbpf.Patch.Add_parser_rule r) new_parser
-     @ List.map
-         (fun el -> Flexbpf.Patch.Add_element (Flexbpf.Patch.At_end, el))
-         ext.Flexbpf.Ast.pipeline)
-
 let plan_cmd =
   let plan_format_arg =
     Arg.(value & opt (enum [ ("table", `Table); ("json", `Json) ]) `Table
@@ -409,8 +354,9 @@ let plan_cmd =
   let plan_file_arg =
     Arg.(value & pos 0 (some file) None
          & info [] ~docv:"FILE"
-             ~doc:"FlexBPF program to append as an extension; without it a \
-                   built-in telemetry patch is planned")
+             ~doc:"FlexBPF tenant program: plans the arrival patch its \
+                   admission would run; without it a built-in telemetry \
+                   patch is planned")
   in
   let run arch switches format candidates file =
     let net = Flexnet.create ~arch ~switches () in
@@ -428,7 +374,18 @@ let plan_cmd =
            Printf.eprintf "%s: %s\n" path e;
            exit 2
          | Ok ext ->
-           extension_patch ~base:dep.Compiler.Incremental.dep_prog ext)
+           (* the patch admission would run, with the VLAN it would
+              allocate next *)
+           (match
+              Flexbpf.Compose.arrival
+                ~vlan:(Flexnet.tenants_exn net).Control.Tenants.next_vlan
+                ~base:dep.Compiler.Incremental.dep_prog ext
+            with
+            | Ok patch -> patch
+            | Error vs ->
+              Fmt.epr "rejected: %a@." Control.Tenants.pp_admission_error
+                (Control.Tenants.Access_control vs);
+              exit 1))
     in
     (* pure planning only: nothing below touches a device *)
     match Compiler.Incremental.plan_patch ~candidates dep patch with
@@ -479,8 +436,8 @@ let plan_cmd =
                 (fun op ->
                   Printf.sprintf
                     "{\"op\":\"%s\",\"device\":\"%s\",\"time_s\":%.6f}"
-                    (json_escape (Compiler.Plan.op_name op))
-                    (json_escape (Compiler.Plan.op_device op))
+                    (Obs.Export.json_escape (Compiler.Plan.op_name op))
+                    (Obs.Export.json_escape (Compiler.Plan.op_device op))
                     (Compiler.Plan.op_time (times_of (Compiler.Plan.op_device op)) op))
                 plan.Compiler.Plan.ops)
          in
@@ -491,7 +448,7 @@ let plan_cmd =
                   Printf.sprintf
                     "{\"device\":\"%s\",\"sram_bytes\":%d,\"tcam_bytes\":%d,\
                      \"action_slots\":%d,\"instructions\":%d}"
-                    (json_escape d) r.Targets.Resource.sram_bytes
+                    (Obs.Export.json_escape d) r.Targets.Resource.sram_bytes
                     r.Targets.Resource.tcam_bytes r.Targets.Resource.action_slots
                     r.Targets.Resource.instructions)
                 cost.Compiler.Plan.c_deltas)
@@ -501,7 +458,7 @@ let plan_cmd =
             \"duration_s\":%.6f,\"cost_check\":{\"certified\":%d,\
             \"heuristic\":%d,\"ratio\":%.3f,\"divergent\":%b},\
             \"ops\":[%s],\"deltas\":[%s]}\n"
-           (json_escape plan.Compiler.Plan.plan_name)
+           (Obs.Export.json_escape plan.Compiler.Plan.plan_name)
            pc.Compiler.Incremental.ch_candidates
            report.Compiler.Incremental.total_work
            report.Compiler.Incremental.duration
@@ -930,7 +887,7 @@ let tables_cmd =
                   "{\"table\":\"%s\",\"capacity\":%d,\"resident\":%d,\
                    \"hits\":%d,\"misses\":%d,\"hit_ratio\":%.4f,\
                    \"promotions\":%d,\"evictions\":%d,\"demotions\":%d}"
-                  (json_escape s.Flexbpf.Compile.ts_table)
+                  (Obs.Export.json_escape s.Flexbpf.Compile.ts_table)
                   s.Flexbpf.Compile.ts_capacity s.Flexbpf.Compile.ts_resident
                   s.Flexbpf.Compile.ts_hits s.Flexbpf.Compile.ts_misses
                   (ratio s.Flexbpf.Compile.ts_hits s.Flexbpf.Compile.ts_misses)
@@ -1113,7 +1070,7 @@ let market_cmd =
                  "{\"tenant\":\"%s\",\"sla\":\"%s\",\"replicas\":%d,\
                   \"price\":%.6f,\"spend\":%.6f,\"utility\":%.6f,\
                   \"density\":%.6f}"
-                 (json_escape mt.Market.Tenant.mt_name)
+                 (Obs.Export.json_escape mt.Market.Tenant.mt_name)
                  (Market.Tenant.sla_to_string mt.Market.Tenant.mt_sla)
                  q a.Market.Auction.ad_price a.Market.Auction.ad_spend
                  (Market.Tenant.utility mt q)
@@ -1192,7 +1149,7 @@ let rules_json rules =
               (List.map
                  (fun p -> Printf.sprintf "\"%s\"" (pattern_str p))
                  r.Flexbpf.Ast.matches))
-           (json_escape r.Flexbpf.Ast.rule_action))
+           (Obs.Export.json_escape r.Flexbpf.Ast.rule_action))
        rules)
 
 let policy_compile_cmd =
@@ -1231,21 +1188,21 @@ let policy_compile_cmd =
            lowered
        | `Json ->
          Printf.printf "{\"policy\":\"%s\",\"devices\":[%s]}\n"
-           (json_escape (Policy.Syntax.print pol))
+           (Obs.Export.json_escape (Policy.Syntax.print pol))
            (String.concat ","
               (List.map
                  (fun (dev, lw) ->
                    Printf.sprintf
                      "{\"device\":\"%s\",\"sw\":%Ld,\"program\":\"%s\",\
                       \"rules\":{%s}}"
-                     (json_escape dev) lw.Policy.Compile.lw_sw
-                     (json_escape
+                     (Obs.Export.json_escape dev) lw.Policy.Compile.lw_sw
+                     (Obs.Export.json_escape
                         (Flexbpf.Syntax.print lw.Policy.Compile.lw_prog))
                      (String.concat ","
                         (List.map
                            (fun (tbl, rules) ->
-                             Printf.sprintf "\"%s\":[%s]" (json_escape tbl)
-                               (rules_json rules))
+                             Printf.sprintf "\"%s\":[%s]"
+                               (Obs.Export.json_escape tbl) (rules_json rules))
                            lw.Policy.Compile.lw_rules)))
                  lowered)));
       exit 0
@@ -1287,7 +1244,7 @@ let policy_check_cmd =
          Printf.printf
            "{\"policy\":\"%s\",\"fields\":[%s],\"fdd_size\":%d,\
             \"switches\":[%s],\"rules\":[%s]}\n"
-           (json_escape (Policy.Syntax.print pol))
+           (Obs.Export.json_escape (Policy.Syntax.print pol))
            (String.concat ","
               (List.map
                  (fun f -> Printf.sprintf "\"%s\"" (Policy.Ast.field_name f))

@@ -8,9 +8,10 @@
     plane, as well as infrastructure program changes to accommodate the
     new extensions. Departures achieve opposite effects."
 
-    Admission pipeline: certify bounded execution → namespace →
-    access-control check → VLAN allocation and guarding → incremental
-    compilation of the injection patch onto the live deployment. *)
+    Admission certifies bounded execution, then runs
+    [Compose.arrival] (namespace, access control, VLAN guard) with the
+    next free VLAN and live-patches the deployment; departure runs
+    [Compose.departure]. No other code builds tenant patches. *)
 
 open Flexbpf
 
@@ -18,8 +19,7 @@ type tenant = {
   tenant_name : string;
   vlan : int;
   arrived_at : float;
-  mutable element_names : string list;
-  mutable map_names : string list;
+  element_names : string list;
   diagnostics : Diagnostics.t list;
       (* sub-Error verifier findings recorded at admission *)
   parallel : Dataflow.Shard_safety.t;
@@ -33,7 +33,6 @@ type tenant = {
 type t = {
   sim : Netsim.Sim.t;
   deployment : Compiler.Incremental.deployment;
-  exports : string list; (* infra maps tenants may read *)
   shards : int; (* shard count placement draws from *)
   mutable tenants : tenant list;
   mutable next_vlan : int;
@@ -46,9 +45,9 @@ type t = {
          library depending on unix *)
 }
 
-let create ?(exports = []) ?(shards = 1) ~sim deployment =
+let create ?(shards = 1) ~sim deployment =
   if shards <= 0 then invalid_arg "Tenants.create: shards must be positive";
-  { sim; deployment; exports; shards; tenants = []; next_vlan = 100;
+  { sim; deployment; shards; tenants = []; next_vlan = 100;
     admitted = 0; rejected = 0; departed = 0; clock = Sys.time }
 
 let set_clock t clock = t.clock <- clock
@@ -118,33 +117,6 @@ let pp_admission_error ppf = function
       vs
   | Compilation e -> Fmt.pf ppf "compilation: %a" Compiler.Incremental.pp_error e
 
-(** Build the injection patch for a namespaced, guarded extension. *)
-let injection_patch ~tenant_name ~base (ext : Ast.program) =
-  let ops =
-    List.filter_map
-      (fun (h : Ast.header_decl) ->
-        if List.exists (fun (b : Ast.header_decl) -> b.hdr_name = h.hdr_name)
-             base.Ast.headers
-        then None
-        else Some (Patch.Add_header h))
-      ext.Ast.headers
-    @ List.map (fun m -> Patch.Add_map m) ext.Ast.maps
-    @ List.filter_map
-        (fun (r : Ast.parser_rule) ->
-          (* skip rules the base parser already covers (same header
-             sequence), regardless of rule name *)
-          if
-            List.exists
-              (fun (b : Ast.parser_rule) ->
-                b.pr_name = r.pr_name || b.pr_headers = r.pr_headers)
-              base.Ast.parser
-          then None
-          else Some (Patch.Add_parser_rule r))
-        ext.Ast.parser
-    @ List.map (fun el -> Patch.Add_element (Patch.At_end, el)) ext.Ast.pipeline
-  in
-  Patch.v ~owner:tenant_name (tenant_name ^ "-arrival") ops
-
 (** Admit a tenant extension program. On success the network has been
     live-patched and the tenant is registered. [attrs] carries extra
     span attributes (the market path tags bid/price context). *)
@@ -167,41 +139,29 @@ let admit ?(attrs = []) t (ext : Ast.program) =
               t.rejected <- t.rejected + 1;
               Error (Certification r)
             | Ok cert ->
-              let namespaced = Compose.namespace ext in
-              (match Compose.check_access ~exports:t.exports namespaced with
-               | _ :: _ as violations ->
+              let vlan = t.next_vlan in
+              (match
+                 Compose.arrival ~vlan
+                   ~base:t.deployment.Compiler.Incremental.dep_prog ext
+               with
+               | Error violations ->
                  t.rejected <- t.rejected + 1;
                  Error (Access_control violations)
-               | [] ->
-                 let vlan = t.next_vlan in
-                 let guarded =
-                   { namespaced with
-                     Ast.pipeline =
-                       List.map (Compose.guard_element ~vlan)
-                         namespaced.Ast.pipeline }
-                 in
-                 let patch =
-                   injection_patch ~tenant_name
-                     ~base:t.deployment.Compiler.Incremental.dep_prog guarded
-                 in
+               | Ok patch ->
                  (match
                     Runtime.Reconfig.apply_patch ~obs:scope t.deployment patch
                   with
                   | Error e ->
                     t.rejected <- t.rejected + 1;
                     Error (Compilation e)
-                  | Ok (report, _diff) ->
+                  | Ok (report, diff) ->
                     t.next_vlan <- t.next_vlan + 1;
                     let affinity =
                       place t ~tenant_name cert.Analysis.cert_parallel
                     in
                     let tenant =
                       { tenant_name; vlan; arrived_at = Netsim.Sim.now t.sim;
-                        element_names =
-                          List.map Ast.element_name guarded.Ast.pipeline;
-                        map_names =
-                          List.map (fun (m : Ast.map_decl) -> m.map_name)
-                            guarded.Ast.maps;
+                        element_names = diff.Patch.added;
                         diagnostics = cert.Analysis.cert_warnings;
                         parallel = cert.Analysis.cert_parallel;
                         static_cost = cert.Analysis.cert_cost;
@@ -245,25 +205,10 @@ let depart ?(reason = `Voluntary) t tenant_name =
   match find t tenant_name with
   | None -> Error Unknown_tenant
   | Some tenant ->
-    let prefix = tenant_name ^ "/" in
-    let ops =
-      (if
-         List.exists
-           (fun el -> String.starts_with ~prefix (Ast.element_name el))
-           t.deployment.Compiler.Incremental.dep_prog.Ast.pipeline
-       then [ Patch.Remove_element (Patch.Sel_name (prefix ^ "*")) ]
-       else [])
-      @ List.filter_map
-          (fun m ->
-            if
-              List.exists
-                (fun (x : Ast.map_decl) -> x.map_name = m)
-                t.deployment.Compiler.Incremental.dep_prog.Ast.maps
-            then Some (Patch.Remove_map m)
-            else None)
-          tenant.map_names
+    let patch =
+      Compose.departure ~owner:tenant_name
+        t.deployment.Compiler.Incremental.dep_prog
     in
-    let patch = Patch.v ~owner:tenant_name (tenant_name ^ "-departure") ops in
     let scope = Netsim.Sim.obs t.sim in
     let reason_str =
       match reason with `Voluntary -> "voluntary" | `Preempted -> "preempted"
@@ -285,31 +230,6 @@ let depart ?(reason = `Voluntary) t tenant_name =
           if reason = `Preempted then record_outcome t Preempted;
           Obs.Trace.add_attr span "ok" (Obs.Trace.B true);
           Ok report)
-
-type policy_admission_error =
-  | Policy_error of Policy.Compile.error
-  | Admission of admission_error
-
-let pp_policy_admission_error ppf = function
-  | Policy_error e -> Policy.Compile.pp_error ppf e
-  | Admission e -> pp_admission_error ppf e
-
-(** Admit a tenant expressed as a policy term: lower to a uniform
-    overlay block (no switch tests allowed; leaves without an explicit
-    egress fall through to infrastructure routing) and push it through
-    the ordinary admission pipeline — certification, namespacing,
-    access control, and VLAN guarding all apply to the lowered element
-    exactly as to a hand-written one. *)
-let admit_policy t ~name pol =
-  match
-    Policy.Compile.lower_block ~owner:name ~overlay:true
-      ~name:(name ^ "_policy") pol
-  with
-  | Error e -> Error (Policy_error e)
-  | Ok program ->
-    (match admit t program with
-     | Ok r -> Ok r
-     | Error e -> Error (Admission e))
 
 let active_count t = List.length t.tenants
 

@@ -2,17 +2,20 @@
 
     Tenants provide extension programs that are dynamically injected
     into and removed from the network, admitted after access-control
-    validation and isolated via VLANs. Admission pipeline: certify
-    bounded execution → namespace → access-control check → VLAN
-    allocation and guarding → incremental compilation of the injection
-    patch onto the live deployment. *)
+    validation and isolated via VLANs. There is one composition path:
+    {!admit} certifies bounded execution, then live-patches the
+    deployment with {!Flexbpf.Compose.arrival} (namespace, access
+    control, guard with the next free VLAN); {!depart} applies
+    {!Flexbpf.Compose.departure}, which removes everything the tenant
+    owns. Policy tenants lower their term with
+    [Policy.Compile.lower_block ~overlay:true] and are admitted like any
+    other program. *)
 
 type tenant = {
   tenant_name : string;
   vlan : int;
   arrived_at : float;
-  mutable element_names : string list;
-  mutable map_names : string list;
+  element_names : string list; (* namespaced, as installed *)
   diagnostics : Flexbpf.Diagnostics.t list;
       (* sub-Error verifier findings recorded at admission *)
   parallel : Flexbpf.Dataflow.Shard_safety.t;
@@ -26,7 +29,6 @@ type tenant = {
 type t = {
   sim : Netsim.Sim.t;
   deployment : Compiler.Incremental.deployment;
-  exports : string list; (* infra maps tenants may read *)
   shards : int; (* shard count placement draws from *)
   mutable tenants : tenant list;
   mutable next_vlan : int;
@@ -45,7 +47,7 @@ type t = {
     [tenants.placement] counter (labelled by verdict class) and on the
     [tenant.admit] span. *)
 val create :
-  ?exports:string list -> ?shards:int -> sim:Netsim.Sim.t ->
+  ?shards:int -> sim:Netsim.Sim.t ->
   Compiler.Incremental.deployment -> t
 
 val find : t -> string -> tenant option
@@ -87,24 +89,6 @@ val pp_admission_error : Format.formatter -> admission_error -> unit
 val admit :
   ?attrs:(string * Obs.Trace.value) list -> t -> Flexbpf.Ast.program ->
   (tenant * Compiler.Incremental.report, admission_error) result
-
-type policy_admission_error =
-  | Policy_error of Policy.Compile.error
-      (** the term does not lower (switch tests, multicast, ...) *)
-  | Admission of admission_error
-
-val pp_policy_admission_error :
-  Format.formatter -> policy_admission_error -> unit
-
-(** Admit a tenant expressed as a policy term instead of a hand-written
-    FlexBPF program: the term is lowered to a uniform overlay block
-    ({!Policy.Compile.lower_block}) — identical on every switch, leaves
-    without an explicit egress defer to infrastructure routing — and
-    then admitted through the ordinary pipeline (certification,
-    namespacing, access control, VLAN guarding). *)
-val admit_policy :
-  t -> name:string -> Policy.Ast.pol ->
-  (tenant * Compiler.Incremental.report, policy_admission_error) result
 
 type departure_error = Unknown_tenant | Departure_failed of string
 

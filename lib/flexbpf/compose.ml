@@ -1,11 +1,12 @@
 (** Datapath composition (§3.2).
 
     Tenant extension programs are layered onto the infrastructure
-    datapath. Composition namespaces every tenant element under
-    "tenant/", enforces access-control restrictions (a tenant program
-    may not touch infra state or another tenant's state), detects
-    conflicts, and reports logically-sharable code across tenants as an
-    optimization opportunity. *)
+    datapath as patches. The arrival patch namespaces every tenant
+    element under "tenant/", enforces access-control restrictions (a
+    tenant program may not touch infra state or another tenant's
+    state), and VLAN-guards every element; the departure patch removes
+    everything the tenant owns. Logically-sharable code across tenants
+    is reported as an optimization opportunity. *)
 
 open Ast
 
@@ -129,12 +130,10 @@ let check_access ?(exports = []) (ext : program) =
   (* dedupe *)
   List.sort_uniq compare violations
 
-(* Composition --------------------------------------------------------- *)
+(* VLAN isolation ------------------------------------------------------ *)
 
-(** Lay a (namespaced, access-checked) extension atop the base program.
-    Tenant elements are guarded by VLAN id: the composition wraps each
-    tenant element so it only applies to packets carrying the tenant's
-    VLAN, which is the paper's isolation mechanism. *)
+(** Wrap a tenant element so it only applies to packets carrying the
+    tenant's VLAN, which is the paper's isolation mechanism. *)
 let guard_element ~vlan el =
   match el with
   | Block b ->
@@ -153,67 +152,55 @@ let guard_element ~vlan el =
        table is unchanged. *)
     el
 
-type composition_error =
-  | Access of violation list
-  | Collision of string list
-  | Ill_typed of Typecheck.error list
+(* Arrival and departure ------------------------------------------------ *)
 
-let pp_composition_error ppf = function
-  | Access vs -> Fmt.pf ppf "access: %a" Fmt.(list ~sep:(any "; ") pp_violation) vs
-  | Collision ns -> Fmt.pf ppf "collisions: %a" Fmt.(list ~sep:comma string) ns
-  | Ill_typed es ->
-    Fmt.pf ppf "ill-typed: %a" Fmt.(list ~sep:(any "; ") Typecheck.pp_error) es
-
-let compose ?(exports = []) ?vlan ~base (ext : program) =
+let arrival ~vlan ~base (ext : program) =
   let ext = namespace ext in
-  match check_access ~exports ext with
-  | _ :: _ as violations -> Error (Access violations)
+  match check_access ext with
+  | _ :: _ as violations -> Error violations
   | [] ->
-    let collisions =
-      List.filter
-        (fun el ->
-          List.exists
-            (fun e -> element_name e = element_name el)
-            base.pipeline)
-        ext.pipeline
-      |> List.map element_name
+    let tenant = ext.owner in
+    let covered_by_infra (r : parser_rule) =
+      List.exists
+        (fun b ->
+          b.pr_headers = r.pr_headers && owner_of_name b.pr_name = "infra")
+        base.parser
     in
-    if collisions <> [] then Error (Collision collisions)
-    else begin
-      let guarded =
-        match vlan with
-        | Some vlan -> List.map (guard_element ~vlan) ext.pipeline
-        | None -> ext.pipeline
-      in
-      let merged =
-        { base with
-          headers =
-            base.headers
-            @ List.filter
-                (fun h -> not (List.exists (fun b -> b.hdr_name = h.hdr_name) base.headers))
-                ext.headers;
-          parser =
-            base.parser
-            @ List.filter
-                (fun r -> not (List.exists (fun b -> b.pr_name = r.pr_name) base.parser))
-                ext.parser;
-          maps = base.maps @ ext.maps;
-          pipeline = base.pipeline @ guarded }
-      in
-      match Typecheck.check_program merged with
-      | Ok () -> Ok merged
-      | Error es -> Error (Ill_typed es)
-    end
+    let ops =
+      List.filter_map
+        (fun h ->
+          if List.exists (fun b -> b.hdr_name = h.hdr_name) base.headers then None
+          else Some (Patch.Add_header h))
+        ext.headers
+      @ List.map (fun m -> Patch.Add_map m) ext.maps
+      @ List.filter_map
+          (fun r ->
+            if covered_by_infra r then None else Some (Patch.Add_parser_rule r))
+          ext.parser
+      @ List.map
+          (fun el -> Patch.Add_element (Patch.At_end, guard_element ~vlan el))
+          ext.pipeline
+    in
+    Ok (Patch.v ~owner:tenant (tenant ^ "-arrival") ops)
 
-(** Remove every element, map, and parser rule owned by [owner] — the
-    tenant-departure path ("departures achieve opposite effects"). *)
-let remove_owner ~owner (prog : program) =
+let departure ~owner (prog : program) =
   let prefix = owner ^ "/" in
-  let is_foreign n = not (String.starts_with ~prefix n) in
-  { prog with
-    parser = List.filter (fun r -> is_foreign r.pr_name) prog.parser;
-    maps = List.filter (fun (m : map_decl) -> is_foreign m.map_name) prog.maps;
-    pipeline = List.filter (fun e -> is_foreign (element_name e)) prog.pipeline }
+  let owned n = String.starts_with ~prefix n in
+  let ops =
+    (if List.exists (fun el -> owned (element_name el)) prog.pipeline then
+       [ Patch.Remove_element (Patch.Sel_name (prefix ^ "*")) ]
+     else [])
+    @ List.filter_map
+        (fun (m : map_decl) ->
+          if owned m.map_name then Some (Patch.Remove_map m.map_name) else None)
+        prog.maps
+    @ List.filter_map
+        (fun r ->
+          if owned r.pr_name then Some (Patch.Remove_parser_rule r.pr_name)
+          else None)
+        prog.parser
+  in
+  Patch.v ~owner (owner ^ "-departure") ops
 
 (** Structurally identical elements installed by different owners —
     "logically-sharable code that presents optimization opportunities". *)

@@ -1,13 +1,15 @@
-(** Datapath composition (§3.2).
+(** Datapath composition (§3.2): the one tenant arrival/departure path.
 
-    Tenant extension programs are layered onto the infrastructure
-    datapath: every tenant element and map is namespaced under
-    "tenant/", access control forbids touching foreign state, conflicts
-    are detected, and logically-sharable code across tenants is
+    A tenant extension is layered onto the infrastructure datapath as a
+    {!Patch.t}: {!arrival} namespaces every element, map and parser rule
+    under "tenant/", rejects access to foreign state, and guards every
+    element with the tenant's VLAN; {!departure} removes everything the
+    tenant owns ("departures achieve opposite effects"). Admission
+    ([Control.Tenants]) and the CLI's dry-run planner both run these
+    patches, so what is planned is what is installed. [Patch.apply]
+    typechecks the result and rejects duplicate names, so a tenant that
+    arrives twice fails there. Logically-sharable code across tenants is
     reported as an optimization opportunity. *)
-
-(** ["owner/name"], unless the name is already namespaced. *)
-val namespaced : string -> string -> string
 
 (** Namespace an extension program under its owner, rewriting every
     internal map reference. *)
@@ -31,22 +33,18 @@ val check_access : ?exports:string list -> Ast.program -> violation list
     tenant's VLAN (meta.vlan_vid is stamped at device ingress). *)
 val guard_element : vlan:int -> Ast.element -> Ast.element
 
-type composition_error =
-  | Access of violation list
-  | Collision of string list
-  | Ill_typed of Typecheck.error list
+(** The arrival patch ["<tenant>-arrival"] of [ext] onto [base]: the
+    namespaced extension, [Add_header] for headers [base] lacks,
+    [Add_map] for every map, [Add_parser_rule] for every rule except
+    those whose header stack an infrastructure (unowned) rule of [base]
+    already parses, and [Add_element At_end] for every element, guarded
+    by [vlan]. [Error] lists the access-control violations. *)
+val arrival :
+  vlan:int -> base:Ast.program -> Ast.program -> (Patch.t, violation list) result
 
-val pp_composition_error : Format.formatter -> composition_error -> unit
-
-(** Lay a namespaced, access-checked, optionally VLAN-guarded extension
-    atop the base program. *)
-val compose :
-  ?exports:string list -> ?vlan:int -> base:Ast.program -> Ast.program ->
-  (Ast.program, composition_error) result
-
-(** Remove every element, map, and parser rule owned by [owner] — the
-    tenant-departure path. *)
-val remove_owner : owner:string -> Ast.program -> Ast.program
+(** The departure patch ["<owner>-departure"]: remove every element,
+    map, and parser rule [owner] has in [prog]. *)
+val departure : owner:string -> Ast.program -> Patch.t
 
 (** Structurally identical elements installed by different owners,
     compared modulo namespaces and VLAN guards — "logically-sharable

@@ -60,30 +60,16 @@ let to_tsv d =
   String.concat "\t"
     [ d.code; severity_to_string d.severity; d.pass; d.path; d.message ]
 
-(* SARIF 2.1.0 export: one run, one result per finding, with the pass
-   carried as the rule's short description and the verifier path as a
-   logical location. CI uploads these for code-scanning annotation. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let sarif_level = function
   | Info -> "note"
   | Warning -> "warning"
   | Error -> "error"
 
+(* SARIF 2.1.0 export: one run, one result per finding, with the pass
+   carried as the rule's short description and the verifier path as a
+   logical location. CI uploads these for code-scanning annotation. *)
 let to_sarif ?(uri = "<input>") ds =
+  let json_escape = Obs.Export.json_escape in
   let rules =
     List.sort_uniq Stdlib.compare (List.map (fun d -> (d.code, d.pass)) ds)
   in

@@ -14,6 +14,8 @@ let json_escape s =
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
       | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
     s;
   Buffer.contents b

@@ -3,6 +3,11 @@
     (name, labels), spans by id) and use fixed float formatting, so a
     seeded run exports byte-identical text. *)
 
+(** Escape a string for a JSON string literal: quote, backslash, [\n]
+    and [\t] get their short escapes, other control characters
+    [\u00XX]. *)
+val json_escape : string -> string
+
 (** Prometheus text exposition: one [# TYPE] line per metric family,
     names prefixed with [flexnet_] and sanitized ('.', '-' → '_');
     histograms export [_count], [_sum], and [{quantile="..."}] summary

@@ -120,6 +120,45 @@ let test_tenant_admission_lifecycle () =
   check_int "counters" 1 tenants.Control.Tenants.admitted;
   check_int "departures" 1 tenants.Control.Tenants.departed
 
+(* departure undoes arrival exactly, parser rules included: a tenant
+   that brings its own protocol leaves no parse state behind, and can
+   arrive again *)
+let test_tenant_departure_restores () =
+  let sim = Netsim.Sim.create () in
+  let _path, dep = mk_deployment () in
+  let tenants = Control.Tenants.create ~sim dep in
+  let ext =
+    program ~owner:"acme" "vx"
+      ~headers:(standard_headers @ [ header "vxlan" [ ("vni", 24) ] ])
+      ~parser:
+        (standard_parser
+        @ [ parser_rule "parse_vxlan" [ "ethernet"; "ipv4"; "udp"; "vxlan" ] ])
+      ~maps:[ map_decl ~size:16 "vx_seen" ]
+      [ block "count_vni"
+          [ map_incr "vx_seen" [ field "vxlan" "vni" ] ] ]
+  in
+  let before = dep.Compiler.Incremental.dep_prog in
+  let admit () =
+    match Control.Tenants.admit tenants ext with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "admit: %a" Control.Tenants.pp_admission_error e
+  in
+  admit ();
+  check "tenant parser rule installed" true
+    (List.exists
+       (fun r -> r.Flexbpf.Ast.pr_name = "acme/parse_vxlan")
+       dep.Compiler.Incremental.dep_prog.Flexbpf.Ast.parser);
+  (match Control.Tenants.depart tenants "acme" with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "depart: %a" Control.Tenants.pp_departure_error e);
+  let after = dep.Compiler.Incremental.dep_prog in
+  check "parser restored" true (after.Flexbpf.Ast.parser = before.Flexbpf.Ast.parser);
+  check "maps restored" true (after.Flexbpf.Ast.maps = before.Flexbpf.Ast.maps);
+  check "pipeline restored" true
+    (after.Flexbpf.Ast.pipeline = before.Flexbpf.Ast.pipeline);
+  admit ();
+  check_int "re-admitted" 1 (Control.Tenants.active_count tenants)
+
 let test_tenant_rejection_paths () =
   let sim = Netsim.Sim.create () in
   let _path, dep = mk_deployment () in
@@ -479,6 +518,8 @@ let () =
         [ Alcotest.test_case "rules+counters" `Quick test_device_api_rules ] );
       ( "tenants",
         [ Alcotest.test_case "lifecycle" `Quick test_tenant_admission_lifecycle;
+          Alcotest.test_case "departure restores" `Quick
+            test_tenant_departure_restores;
           Alcotest.test_case "rejections" `Quick test_tenant_rejection_paths;
           Alcotest.test_case "distinct vlans" `Quick test_tenant_vlans_distinct;
           Alcotest.test_case "certificate placement" `Quick

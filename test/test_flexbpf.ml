@@ -525,105 +525,124 @@ let test_access_control () =
   Alcotest.(check int) "export whitelist" 0
     (List.length (Compose.check_access ~exports:[ "port_counters" ] evil))
 
+(* [Some] the program after applying [ext]'s arrival patch *)
+let arrive ?(vlan = 9) base ext =
+  match Compose.arrival ~vlan ~base ext with
+  | Error _ -> None
+  | Ok patch -> Result.to_option (Result.map fst (Patch.apply patch base))
+
+let depart owner prog =
+  Result.to_option
+    (Result.map fst (Patch.apply (Compose.departure ~owner prog) prog))
+
+let arrive_exn ?vlan base ext =
+  match arrive ?vlan base ext with
+  | Some p -> p
+  | None -> Alcotest.failf "arrival of %s failed" ext.Ast.owner
+
 let test_compose_and_remove () =
-  match Compose.compose ~vlan:42 ~base:base_prog tenant_fw with
-  | Error e -> Alcotest.failf "compose failed: %a" Compose.pp_composition_error e
-  | Ok merged ->
-    check "tenant elements appended" true
-      (Ast.find_element merged "acme/stateful_fw" <> None);
-    check "base intact" true (Ast.find_element merged "ipv4_lpm" <> None);
-    check "well typed" true (Typecheck.check_program merged = Ok ());
-    let removed = Compose.remove_owner ~owner:"acme" merged in
+  let merged = arrive_exn ~vlan:42 base_prog tenant_fw in
+  check "tenant elements appended" true
+    (Ast.find_element merged "acme/stateful_fw" <> None);
+  check "base intact" true (Ast.find_element merged "ipv4_lpm" <> None);
+  check "well typed" true (Typecheck.check_program merged = Ok ());
+  match depart "acme" merged with
+  | None -> Alcotest.fail "departure failed"
+  | Some removed ->
     check "tenant gone" true (Ast.find_element removed "acme/stateful_fw" = None);
     Alcotest.(check int) "base pipeline restored"
       (List.length base_prog.Ast.pipeline)
       (List.length removed.Ast.pipeline)
 
 let test_compose_collision () =
-  match Compose.compose ~base:base_prog tenant_fw with
-  | Error _ -> Alcotest.fail "first compose should work"
-  | Ok merged ->
-    (match Compose.compose ~base:merged tenant_fw with
-     | Error (Compose.Collision _) -> ()
-     | _ -> Alcotest.fail "expected collision on re-compose")
+  let merged = arrive_exn base_prog tenant_fw in
+  match Compose.arrival ~vlan:9 ~base:merged tenant_fw with
+  | Error _ -> Alcotest.fail "access check should pass"
+  | Ok patch ->
+    (match Patch.apply patch merged with
+     | Error (`Patch (Patch.Duplicate_name _)) -> ()
+     | _ -> Alcotest.fail "expected duplicate name on re-arrival")
 
 let test_sharable_detection () =
   let mk owner = Apps.Firewall.program ~owner ~boundary:100 () in
-  match Compose.compose ~base:base_prog (mk "a") with
-  | Error _ -> Alcotest.fail "compose a"
-  | Ok m1 ->
-    (match Compose.compose ~base:m1 (mk "b") with
-     | Error _ -> Alcotest.fail "compose b"
-     | Ok m2 ->
-       let pairs = Compose.sharable_elements m2 in
-       check "identical tenant logic detected" true
-         (List.exists
-            (fun (x, y) ->
-              (x = "a/stateful_fw" && y = "b/stateful_fw")
-              || (x = "b/stateful_fw" && y = "a/stateful_fw"))
-            pairs))
+  let m2 = arrive_exn (arrive_exn base_prog (mk "a")) (mk "b") in
+  let pairs = Compose.sharable_elements m2 in
+  check "identical tenant logic detected" true
+    (List.exists
+       (fun (x, y) ->
+         (x = "a/stateful_fw" && y = "b/stateful_fw")
+         || (x = "b/stateful_fw" && y = "a/stateful_fw"))
+       pairs)
 
 let test_vlan_guard () =
-  match Compose.compose ~vlan:7 ~base:base_prog tenant_fw with
-  | Error _ -> Alcotest.fail "compose failed"
-  | Ok merged ->
-    let env = Interp.create_env merged in
-    let outside_tagged =
-      Netsim.Packet.create
-        [ Netsim.Packet.ethernet ~src:200L ~dst:1L ();
-          Netsim.Packet.vlan ~vid:7L ();
-          Netsim.Packet.ipv4 ~src:200L ~dst:1L ();
-          Netsim.Packet.tcp ~sport:9L ~dport:10L () ]
-    in
-    Netsim.Packet.set_meta outside_tagged "vlan_vid" 7L;
-    ignore (Interp.run env merged outside_tagged);
-    let denied () = State.get (Interp.env_map env "acme/fw_denied") [| 0L |] in
-    check_i64 "tenant fw denies unestablished inbound on its vlan" 1L (denied ());
-    let outside_untagged = mk_packet ~src:200L ~dst:1L () in
-    Netsim.Packet.set_meta outside_untagged "vlan_vid" 0L;
-    ignore (Interp.run env merged outside_untagged);
-    check_i64 "untagged traffic never hits tenant fw" 1L (denied ())
+  let merged = arrive_exn ~vlan:7 base_prog tenant_fw in
+  let env = Interp.create_env merged in
+  let outside_tagged =
+    Netsim.Packet.create
+      [ Netsim.Packet.ethernet ~src:200L ~dst:1L ();
+        Netsim.Packet.vlan ~vid:7L ();
+        Netsim.Packet.ipv4 ~src:200L ~dst:1L ();
+        Netsim.Packet.tcp ~sport:9L ~dport:10L () ]
+  in
+  Netsim.Packet.set_meta outside_tagged "vlan_vid" 7L;
+  ignore (Interp.run env merged outside_tagged);
+  let denied () = State.get (Interp.env_map env "acme/fw_denied") [| 0L |] in
+  check_i64 "tenant fw denies unestablished inbound on its vlan" 1L (denied ());
+  let outside_untagged = mk_packet ~src:200L ~dst:1L () in
+  Netsim.Packet.set_meta outside_untagged "vlan_vid" 0L;
+  ignore (Interp.run env merged outside_untagged);
+  check_i64 "untagged traffic never hits tenant fw" 1L (denied ())
 
 (* -- Compose properties ------------------------------------------------- *)
 
 (* random small tenant extension for [owner]: 1-3 blocks, optionally a
-   private map, no headers or parser rules of its own *)
+   private map, and optionally a parser rule over a header stack — one
+   the base declares but does not parse (the rule is installed) or one
+   the infrastructure already parses (the rule is skipped) *)
 let tenant_gen_of owner =
-  QCheck.Gen.map2
-    (fun nblocks with_map ->
+  QCheck.Gen.map3
+    (fun nblocks with_map stack ->
       let maps = if with_map then [ map_decl ~key_arity:1 ~size:32 "m" ] else [] in
+      let parser =
+        match stack with
+        | Some hs -> [ parser_rule "parse_own" hs ]
+        | None -> []
+      in
       let blk i =
         block
           (Printf.sprintf "b%d" i)
           (if with_map && i = 0 then [ map_incr "m" [ field "ipv4" "src" ] ]
            else [ set_meta "x" (const i) ])
       in
-      program ~owner ~headers:[] ~parser:[] ~maps (owner ^ "_ext")
+      program ~owner ~headers:[] ~parser ~maps (owner ^ "_ext")
         (List.init nblocks blk))
     (QCheck.Gen.int_range 1 3)
     QCheck.Gen.bool
+    (QCheck.Gen.oneofl
+       [ None; Some [ "ethernet"; "vlan" ]; Some [ "ethernet"; "ipv4" ] ])
 
 let tenant_print (p : Ast.program) =
-  Printf.sprintf "%s: %d blocks, %d maps" p.Ast.owner
+  Printf.sprintf "%s: %d blocks, %d maps, parser [%s]" p.Ast.owner
     (List.length p.Ast.pipeline) (List.length p.Ast.maps)
+    (String.concat "; "
+       (List.map (fun r -> String.concat "/" r.Ast.pr_headers) p.Ast.parser))
 
 let prop_compose_remove_roundtrip =
-  QCheck.Test.make ~name:"compose then remove_owner restores the base"
+  QCheck.Test.make ~name:"arrival then departure restores base"
     ~count:200
     (QCheck.make ~print:tenant_print
        QCheck.Gen.(oneofl [ "ta"; "tb"; "tc" ] >>= tenant_gen_of))
     (fun ext ->
-      match Compose.compose ~vlan:9 ~base:base_prog ext with
-      | Error _ -> false
-      | Ok merged ->
-        let removed = Compose.remove_owner ~owner:ext.Ast.owner merged in
+      match Option.bind (arrive base_prog ext) (depart ext.Ast.owner) with
+      | None -> false
+      | Some removed ->
         removed.Ast.pipeline = base_prog.Ast.pipeline
         && removed.Ast.maps = base_prog.Ast.maps
         && removed.Ast.parser = base_prog.Ast.parser
         && removed.Ast.headers = base_prog.Ast.headers)
 
 (* removing one tenant is invisible to another, whatever the arrival
-   order: remove_owner "ta" (base . a . b) = base . b *)
+   order: departure "ta" (base . a . b) = base . b *)
 let prop_compose_removal_commutes =
   QCheck.Test.make ~name:"tenant removal commutes with later arrivals"
     ~count:200
@@ -631,31 +650,28 @@ let prop_compose_removal_commutes =
        ~print:(fun (a, b) -> tenant_print a ^ " / " ^ tenant_print b)
        (QCheck.Gen.pair (tenant_gen_of "ta") (tenant_gen_of "tb")))
     (fun (a, b) ->
-      match Compose.compose ~base:base_prog a with
-      | Error _ -> false
-      | Ok m1 ->
-        (match Compose.compose ~base:m1 b with
-         | Error _ -> false
-         | Ok m2 ->
-           let removed_a = Compose.remove_owner ~owner:"ta" m2 in
-           (match Compose.compose ~base:base_prog b with
-            | Error _ -> false
-            | Ok only_b ->
-              removed_a.Ast.pipeline = only_b.Ast.pipeline
-              && removed_a.Ast.maps = only_b.Ast.maps
-              && removed_a.Ast.parser = only_b.Ast.parser)))
+      let removed_a =
+        Option.bind
+          (Option.bind (arrive base_prog a) (fun m1 -> arrive ~vlan:10 m1 b))
+          (depart "ta")
+      in
+      match (removed_a, arrive ~vlan:10 base_prog b) with
+      | Some removed_a, Some only_b ->
+        removed_a.Ast.pipeline = only_b.Ast.pipeline
+        && removed_a.Ast.maps = only_b.Ast.maps
+        && removed_a.Ast.parser = only_b.Ast.parser
+      | _ -> false)
 
 let test_compose_empty_identity () =
   let empty = program ~owner:"ta" ~headers:[] ~parser:[] "nothing" [] in
-  match Compose.compose ~base:base_prog empty with
-  | Error e -> Alcotest.failf "compose: %a" Compose.pp_composition_error e
-  | Ok merged ->
-    check "pipeline unchanged" true
-      (merged.Ast.pipeline = base_prog.Ast.pipeline);
-    check "maps unchanged" true (merged.Ast.maps = base_prog.Ast.maps);
-    check "parser unchanged" true (merged.Ast.parser = base_prog.Ast.parser);
-    check "headers unchanged" true
-      (merged.Ast.headers = base_prog.Ast.headers)
+  (match Compose.arrival ~vlan:9 ~base:base_prog empty with
+   | Ok patch -> check "no ops" true (patch.Patch.ops = [])
+   | Error _ -> Alcotest.fail "empty extension rejected");
+  let merged = arrive_exn base_prog empty in
+  check "pipeline unchanged" true (merged.Ast.pipeline = base_prog.Ast.pipeline);
+  check "maps unchanged" true (merged.Ast.maps = base_prog.Ast.maps);
+  check "parser unchanged" true (merged.Ast.parser = base_prog.Ast.parser);
+  check "headers unchanged" true (merged.Ast.headers = base_prog.Ast.headers)
 
 let () =
   Alcotest.run "flexbpf"

@@ -382,26 +382,34 @@ let test_tenant_policy_admission () =
   | Ok _ ->
     let tenants = Flexnet.tenants_exn net in
     let pol = Policy.Syntax.parse "filter not (proto = 6 and tp.dst = 23)" in
-    (match Control.Tenants.admit_policy tenants ~name:"acme" pol with
+    (* a policy tenant is an overlay block through the ordinary
+       admission pipeline *)
+    let lower ~owner pol =
+      Policy.Compile.lower_block ~owner ~overlay:true ~name:(owner ^ "_policy")
+        pol
+    in
+    let program =
+      match lower ~owner:"acme" pol with
+      | Ok p -> p
+      | Error e ->
+        Alcotest.failf "lower_block: %s"
+          (Format.asprintf "%a" Policy.Compile.pp_error e)
+    in
+    (match Control.Tenants.admit tenants program with
      | Error e ->
-       Alcotest.failf "admit_policy: %s"
-         (Format.asprintf "%a" Control.Tenants.pp_policy_admission_error e)
+       Alcotest.failf "admit: %s"
+         (Format.asprintf "%a" Control.Tenants.pp_admission_error e)
      | Ok (tenant, _report) ->
        Alcotest.(check string) "tenant name" "acme"
          tenant.Control.Tenants.tenant_name;
        Alcotest.(check int) "active" 1 (Control.Tenants.active_count tenants);
        (* switch tests cannot ride the uniform tenant lowering *)
-       (match
-          Control.Tenants.admit_policy tenants ~name:"evil"
-            (PA.Filter (PA.Test (PA.Sw, 0L)))
-        with
-        | Error
-            (Control.Tenants.Policy_error Policy.Compile.Switch_dependent) ->
-          ()
-        | Ok _ -> Alcotest.fail "switch-dependent tenant admitted"
+       (match lower ~owner:"evil" (PA.Filter (PA.Test (PA.Sw, 0L))) with
+        | Error Policy.Compile.Switch_dependent -> ()
+        | Ok _ -> Alcotest.fail "switch-dependent tenant lowered"
         | Error e ->
           Alcotest.failf "wrong error: %s"
-            (Format.asprintf "%a" Control.Tenants.pp_policy_admission_error e));
+            (Format.asprintf "%a" Policy.Compile.pp_error e));
        (match Control.Tenants.depart tenants "acme" with
         | Error e ->
           Alcotest.failf "depart: %s"
