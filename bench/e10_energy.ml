@@ -26,7 +26,7 @@ let deploy_spread path =
       let dev = List.nth path (1 + i) in
       match Targets.Device.install dev ~ctx:prog ~order:i el with
       | Ok _ -> ()
-      | Error r -> failwith (Targets.Device.reject_to_string r))
+      | Error r -> failwith (Targets.Resource.reject_to_string r))
     prog.Flexbpf.Ast.pipeline;
   { Compiler.Placement.path;
     where =
@@ -52,7 +52,7 @@ let run_case ~load_fraction =
   let placement = deploy_spread path in
   let consolidate = load_fraction < 0.5 in
   let report =
-    if consolidate then Some (Compiler.Energy.consolidate placement) else None
+    if consolidate then Some (Runtime.Reconfig.consolidate placement) else None
   in
   let managed_energy = energy path in
   let watts_before, watts_after, off, moves =
@@ -60,7 +60,7 @@ let run_case ~load_fraction =
     | Some r ->
       ( r.Compiler.Energy.watts_before, r.Compiler.Energy.watts_after,
         List.length r.Compiler.Energy.powered_off,
-        List.length r.Compiler.Energy.moves )
+        Compiler.Plan.size r.Compiler.Energy.plan )
     | None ->
       let w = Compiler.Energy.total_watts path in
       (w, w, 0, 0)

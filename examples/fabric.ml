@@ -74,7 +74,7 @@ let () =
         (fun i el ->
           match Targets.Device.install leaf0_dev ~ctx:prog ~order:i el with
           | Ok _ -> ()
-          | Error r -> failwith (Targets.Device.reject_to_string r))
+          | Error r -> failwith (Targets.Resource.reject_to_string r))
         prog.Flexbpf.Ast.pipeline;
       (* leaf0's spine-facing ports are 0..3 (wired to spines first) *)
       List.iter

@@ -2,23 +2,26 @@
     consolidate onto as few devices as possible and emptied devices
     power down; at high load they spread back out. *)
 
-type move = { moved_element : string; from_device : string; to_device : string }
-
+(** A planned consolidation; [Runtime.Reconfig.consolidate] executes
+    it. *)
 type consolidation = {
-  moves : move list;
-  powered_off : string list;
+  plan : Plan.t; (* one [Move] per relocated element *)
+  where : (string * Targets.Device.t) list; (* the placement after it *)
+  powered_off : string list; (* devices left empty, in path order *)
   watts_before : float;
-  watts_after : float;
+  watts_after : float; (* with [powered_off] asleep *)
+  snaps : (string * Targets.Resource.snapshot) list;
+      (* predicted (finalized) snapshot of every path device *)
 }
 
 (** Static draw of the device set (2 W sleep power when off). *)
 val total_watts : Targets.Device.t list -> float
 
-(** Drain the least-utilized devices into the most-utilized ones
-    (carrying map state), power off devices that end up empty, and
-    update the placement map. Deliberately ignores the path-order
-    constraint — an energy/performance trade the operator opts into at
-    low load. *)
+(** Plan, over the path devices' snapshots, the draining of the
+    least-utilized devices into the most-utilized ones, and the
+    devices that end up empty. Pure. Deliberately ignores the
+    path-order constraint — an energy/performance trade the operator
+    opts into at low load. *)
 val consolidate : Placement.t -> consolidation
 
 (** Power every device back on (load rose again). *)

@@ -10,8 +10,8 @@
     general-purpose targets.
 
     [plan] never touches a device: admission runs against
-    [Targets.Resource] snapshots (the same check the device itself
-    performs at install time) and the result is a cost-annotated
+    [Targets.Resource] snapshots (a device installs through the same
+    [Resource.admit] on its own snapshot) and the result is a cost-annotated
     [Plan.t] plus the predicted post-execution snapshots. Execution —
     and rollback on failure — is [Runtime.Reconfig]'s job. *)
 
@@ -26,7 +26,7 @@ type t = {
 
 type failure = {
   failed_unit : Lowering.unit_;
-  attempts : (string * Targets.Device.reject) list; (* device id -> why *)
+  attempts : (string * Targets.Resource.reject) list; (* device id -> why *)
 }
 
 let pp_failure ppf f =
@@ -35,7 +35,7 @@ let pp_failure ppf f =
     Fmt.(
       list ~sep:(any "; ")
         (pair ~sep:(any ": ") string
-           (of_to_string Targets.Device.reject_to_string)))
+           (of_to_string Targets.Resource.reject_to_string)))
     f.attempts
 
 (** Index of a device on the path; [None] if absent. *)

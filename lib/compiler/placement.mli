@@ -23,7 +23,7 @@ type t = {
 
 type failure = {
   failed_unit : Lowering.unit_;
-  attempts : (string * Targets.Device.reject) list; (* device id -> why *)
+  attempts : (string * Targets.Resource.reject) list; (* device id -> why *)
 }
 
 val pp_failure : Format.formatter -> failure -> unit

@@ -114,16 +114,15 @@ let element_maps = function
     @ List.concat_map (fun a -> List.concat_map stmt_maps a.body) t.tbl_actions
   | Block b -> List.concat_map stmt_maps b.blk_body
 
-(** Check that a namespaced tenant program only references its own maps
-    (or maps the infrastructure explicitly [exports]). *)
-let check_access ?(exports = []) (ext : program) =
+(** Check that a namespaced tenant program only references its own maps. *)
+let check_access (ext : program) =
   let owner = ext.owner in
   let violations =
     List.concat_map
       (fun el ->
         element_maps el
         |> List.filter_map (fun m ->
-               if owner_of_name m = owner || List.mem m exports then None
+               if owner_of_name m = owner then None
                else Some (Touches_foreign_map (element_name el, m))))
       ext.pipeline
   in

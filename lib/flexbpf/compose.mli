@@ -25,9 +25,8 @@ val pp_violation : Format.formatter -> violation -> unit
 (** All map names referenced by an element. *)
 val element_maps : Ast.element -> string list
 
-(** Check that a namespaced tenant program only references its own maps
-    (or maps the infrastructure explicitly [exports]). *)
-val check_access : ?exports:string list -> Ast.program -> violation list
+(** Check that a namespaced tenant program only references its own maps. *)
+val check_access : Ast.program -> violation list
 
 (** Wrap a tenant element so it only applies to packets carrying the
     tenant's VLAN (meta.vlan_vid is stamped at device ingress). *)

@@ -559,97 +559,6 @@ let env_join a b =
       match x, y with Some x, Some y -> Some (itv_hull x y) | _ -> None)
     a b
 
-(* The original syntax-directed implementation, kept verbatim as the
-   reference the framework-hosted pass below is differentially tested
-   against (same program -> byte-identical diagnostics). *)
-let value_range_reference prog =
-  let ctx = { prog; rout = []; mute = false } in
-  let rec eval_stmts env ~base ~iters stmts =
-    List.fold_left
-      (fun (env, i) s ->
-        (eval_stmt env ~path:(stmt_path base i) ~iters s, i + 1))
-      (env, 0) stmts
-    |> fst
-  and eval_branch env ~base ~tag ~iters stmts =
-    List.fold_left
-      (fun (env, i) s ->
-        (eval_stmt env ~path:(sub_path base tag i) ~iters s, i + 1))
-      (env, 0) stmts
-    |> fst
-  and eval_stmt env ~path ~iters = function
-    | Nop | Drop | Punt _ | Push_header _ | Pop_header _ -> env
-    | Set_meta (m, e) -> SMap.add m (reval ctx env ~path e) env
-    | Set_field (h, f, e) ->
-      let v = reval ctx env ~path e in
-      let w = field_width prog h f in
-      if w < 63 && (v.lo > pow2m1 w || v.hi < 0L) then
-        remit ctx ~code:"FBV024" ~severity:Diagnostics.Warning ~path
-          "value is always outside 0..%Ld and cannot fit the %d-bit field \
-           %s.%s"
-          (pow2m1 w) w h f;
-      env
-    | Map_put (m, keys, v) ->
-      check_map_key ctx ~path m (List.map (reval ctx env ~path) keys);
-      ignore (reval ctx env ~path v);
-      env
-    | Map_incr (m, keys, v) ->
-      check_map_key ctx ~path m (List.map (reval ctx env ~path) keys);
-      ignore (reval ctx env ~path v);
-      env
-    | Map_del (m, keys) ->
-      check_map_key ctx ~path m (List.map (reval ctx env ~path) keys);
-      env
-    | Forward e | Call (_, [ e ]) ->
-      ignore (reval ctx env ~path e);
-      env
-    | Call (_, args) ->
-      List.iter (fun e -> ignore (reval ctx env ~path e)) args;
-      env
-    | If (c, th, el) ->
-      let ci = reval ctx env ~path c in
-      if itv_falsy ci && th <> [] then
-        remit ctx ~code:"FBV020" ~severity:Diagnostics.Warning ~path
-          "condition is always false: then-branch is never taken"
-      else if itv_truthy ci then
-        remit ctx ~code:"FBV020" ~severity:Diagnostics.Warning ~path
-          (if el = [] then "condition is always true: the guard is redundant"
-           else "condition is always true: else-branch is never taken");
-      let env_t = eval_branch env ~base:path ~tag:"then" ~iters th in
-      let env_e = eval_branch env ~base:path ~tag:"else" ~iters el in
-      env_join env_t env_e
-    | Loop (n, body) ->
-      let total = iters * max 1 n in
-      if iters > 1 && total > Typecheck.max_loop_bound then
-        remit ctx ~code:"FBV025" ~severity:Diagnostics.Warning ~path
-          "nested loops execute the body %d times, dwarfing the per-loop \
-           ceiling of %d"
-          total Typecheck.max_loop_bound;
-      (* widen loop-carried metas to top, then analyze the body once *)
-      let env =
-        SSet.fold (fun m env -> SMap.remove m env) (assigned_metas SSet.empty body) env
-      in
-      let env = SMap.add "_loop_i" { lo = 0L; hi = Int64.of_int (max 0 (n - 1)) } env in
-      eval_branch env ~base:path ~tag:"body" ~iters:total body
-  in
-  List.iter
-    (fun el ->
-      match el with
-      | Block b -> ignore (eval_stmts SMap.empty ~base:b.blk_name ~iters:1 b.blk_body)
-      | Table t ->
-        List.iteri
-          (fun i (e, _) ->
-            ignore
-              (reval ctx SMap.empty ~path:(Printf.sprintf "%s/key.%d" t.tbl_name i) e))
-          t.keys;
-        List.iter
-          (fun a ->
-            ignore
-              (eval_stmts SMap.empty ~base:(t.tbl_name ^ "/" ^ a.act_name)
-                 ~iters:1 a.body))
-          t.tbl_actions)
-    prog.pipeline;
-  List.rev ctx.rout
-
 (* -- Pass 3, re-hosted on the dataflow framework ----------------------- *)
 
 (* The interval environment as an abstract domain. A missing key means
@@ -678,7 +587,8 @@ module VR_solver = Dataflow.Solver (VR_domain)
 
 (* One node's transfer function. Runs twice per node: muted during the
    fixpoint, un-muted during the report walk — the emission logic is
-   identical to the reference implementation's. *)
+   identical to the original syntax-directed implementation's, which
+   test/test_dataflow.ml keeps as its differential reference. *)
 let vr_transfer ctx (node : Dataflow.Cfg.node) env =
   let path = node.Dataflow.Cfg.path in
   match node.Dataflow.Cfg.kind with
@@ -832,8 +742,7 @@ let tenant_isolation prog =
           | Compose.Touches_foreign_map (el, m) ->
             Diagnostics.v ~code:"FBV040" ~pass:"tenant-isolation"
               ~severity:Diagnostics.Warning ~path:el
-              "element touches foreign map %s: admission will reject this \
-               unless the infrastructure exports it"
+              "element touches foreign map %s: admission will reject this"
               m
           | Compose.Name_collision n ->
             Diagnostics.v ~code:"FBV040" ~pass:"tenant-isolation"
@@ -1069,8 +978,7 @@ let explanations =
       drops inserts when full, so freeze-copy migration may lose updates."));
     ("FBV040", ("tenant access violation",
      "The element touches a foreign map, collides on a name, or drops \
-      traffic outside its VLAN guard; admission will reject it unless the \
-      infrastructure exports the resource."));
+      traffic outside its VLAN guard; admission will reject it."));
     ("FBV041", ("tenant element not VLAN-guarded",
      "Admission wraps unguarded tenant elements in a VLAN guard \
       automatically; this is informational."));

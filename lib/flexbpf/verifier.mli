@@ -79,11 +79,6 @@ val dead_code : Ast.program -> Diagnostics.t list
     solver. *)
 val value_range : Ast.program -> Diagnostics.t list
 
-(** The original syntax-directed value-range implementation, kept as
-    the differential-testing reference: for every well-formed program,
-    [value_range_reference p = value_range p]. *)
-val value_range_reference : Ast.program -> Diagnostics.t list
-
 val migration_safety : Ast.program -> Diagnostics.t list
 val tenant_isolation : Ast.program -> Diagnostics.t list
 val shard_safety : Ast.program -> Diagnostics.t list

@@ -91,7 +91,7 @@ let apply_op devices op =
         | Error r ->
           Error
             (Printf.sprintf "install %s on %s: %s" name device
-               (Targets.Device.reject_to_string r)))
+               (Targets.Resource.reject_to_string r)))
   | Remove { device; element_name } ->
     Result.bind (dev device) (fun d ->
         ignore (Targets.Device.uninstall d element_name);
@@ -132,7 +132,7 @@ let apply_op devices op =
             | Error r ->
               Error
                 (Printf.sprintf "move %s to %s: %s" name to_device
-                   (Targets.Device.reject_to_string r))))
+                   (Targets.Resource.reject_to_string r))))
   | Add_parser { device; rule } ->
     Result.bind (dev device) (fun d ->
         (* tolerated: the planner may emit rules a host already has *)
@@ -547,3 +547,24 @@ let place_once ?obs ~path prog =
 let place_with_gc ?obs ?max_iterations ~path ~removable prog =
   run_fungible ?obs ~path ~prog
     (Compiler.Fungible.place_with_gc ?max_iterations ~path ~removable prog)
+
+(* -- Energy consolidation, executed ------------------------------------- *)
+
+(** Plan a consolidation over snapshots, execute its moves as one plan
+    (rules and map state travel with each element), power off the
+    devices left empty, and record the new placement. *)
+let consolidate (p : Compiler.Placement.t) =
+  let c = Compiler.Energy.consolidate p in
+  (match
+     run_plan ~predicted:c.Compiler.Energy.snaps
+       ~devices:p.Compiler.Placement.path c.Compiler.Energy.plan
+   with
+   | Ok () -> ()
+   | Error e -> failwith ("consolidation execution failed: " ^ e));
+  List.iter
+    (fun d ->
+      if List.mem (Targets.Device.id d) c.Compiler.Energy.powered_off then
+        Targets.Device.set_power d false)
+    p.Compiler.Placement.path;
+  p.Compiler.Placement.where <- c.Compiler.Energy.where;
+  c

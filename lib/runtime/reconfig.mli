@@ -134,3 +134,12 @@ val place_with_gc :
   ?obs:Obs.Scope.t -> ?max_iterations:int -> path:Targets.Device.t list ->
   removable:(Targets.Device.t -> string list) -> Flexbpf.Ast.program ->
   fungible_outcome
+
+(** {2 Energy consolidation, executed} *)
+
+(** Plan a consolidation ({!Compiler.Energy.consolidate}), execute its
+    moves through {!run_plan} (each table's rules and each element's
+    map state travel with it), power off the devices left empty, and
+    update the placement.
+    @raise Failure if a planned move is rejected by a device. *)
+val consolidate : Compiler.Placement.t -> Compiler.Energy.consolidation

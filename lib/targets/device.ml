@@ -10,44 +10,17 @@
 
 open Flexbpf
 
-type slot = Resource.slot =
-  | In_stage of int
-  | In_tiles of Arch.tile_kind * int (* tile kind, number of tiles *)
-  | In_pool
-  | In_pem
-
-let slot_to_string = Resource.slot_to_string
-
-type installed = {
-  inst_element : Ast.element;
-  inst_owner : string;
-  demand : Resource.t;
-  maps_charged : (string * int) list; (* map name, bytes charged here *)
-  residency : Resource.residency option;
-      (* oversubscribed table: bounded device tier over a host tier *)
-  mutable slot : slot;
-  order : int;
-  mutable active : bool; (* controller-maintained "in use" bit *)
-}
-
-type reject = Resource.reject =
-  | No_capacity of string
-  | Unsupported of string
-
 let reject_to_string = Resource.reject_to_string
 
 type t = {
   dev_id : string;
   profile : Arch.profile;
-  stage_used : Resource.t array;
-  mutable pool_used : Resource.t;
-  tiles_used : (Arch.tile_kind, int) Hashtbl.t;
-  mutable pem_used : int;
-  mutable elements : installed list; (* kept sorted by order *)
+  mutable occ : Resource.snapshot;
+    (* the resource state, replaced on every change: [install] runs the
+       planner's [Resource.admit] on it, and [snapshot] returns it *)
   mutable headers : Ast.header_decl list;
   mutable parser : Ast.parser_rule list;
   mutable map_decls : Ast.map_decl list;
-  map_refs : (string, int) Hashtbl.t;
   env : Interp.env;
   mutable cached_program : Ast.program option;
   mutable compiled : Compile.t option; (* staged fast path for the live program *)
@@ -58,7 +31,9 @@ type t = {
   (* Two-version consistency (§2): while a reconfiguration is in flight
      the device keeps executing the frozen old program; the new program
      becomes visible atomically at thaw. Destructive cleanups performed
-     during the window are deferred so the old program stays runnable. *)
+     during the window are deferred so the old program stays runnable:
+     map unrefs wait in [occ.pending_unref], table unregistrations in
+     [deferred]. *)
   mutable frozen : (Ast.program * int) option; (* program, version *)
   mutable deferred : (unit -> unit) list;
   (* Crash consistency: [freeze] snapshots the structural state so a
@@ -82,15 +57,10 @@ type t = {
     during the window, and rollback must not clobber those updates —
     only maps and tables {e added} by the aborted update are removed. *)
 and checkpoint = {
-  ck_elements : installed list; (* records copied: slots may move *)
+  ck_occ : Resource.snapshot; (* immutable: kept, not copied *)
   ck_headers : Ast.header_decl list;
   ck_parser : Ast.parser_rule list;
   ck_map_decls : Ast.map_decl list;
-  ck_stage_used : Resource.t array;
-  ck_pool_used : Resource.t;
-  ck_tiles_used : (Arch.tile_kind * int) list;
-  ck_pem_used : int;
-  ck_map_refs : (string * int) list;
   ck_env_maps : string list; (* env map names present at freeze *)
   ck_env_tables : string list; (* registered table names at freeze *)
   ck_tier_caps : (string * int) list; (* device-tier bounds at freeze *)
@@ -104,6 +74,18 @@ let default_encoding_of_kind : Arch.kind -> State.concrete = function
   | Arch.Drmt | Arch.Tiles -> State.Stateful_table
   | Arch.Smartnic | Arch.Fpga | Arch.Host_ebpf -> State.Flow_state
 
+let shape_of_profile (p : Arch.profile) : Resource.shape =
+  match p.kind with
+  | Arch.Rmt -> Resource.Sh_staged { stages = p.stages; per_stage = p.per_stage }
+  | Arch.Elastic_pipe ->
+    Resource.Sh_staged_pem
+      { stages = p.stages; per_stage = p.per_stage; pem_slots = p.pem_slots }
+  | Arch.Tiles ->
+    Resource.Sh_tiled
+      { tiles = p.tiles; tile_bytes = p.tile_bytes; pool = p.pool }
+  | Arch.Drmt | Arch.Smartnic | Arch.Fpga | Arch.Host_ebpf ->
+    Resource.Sh_pooled { pool = p.pool }
+
 let create ?(id = "dev") (profile : Arch.profile) =
   let empty_prog =
     { Ast.prog_name = id; owner = "infra"; headers = []; parser = [];
@@ -111,15 +93,22 @@ let create ?(id = "dev") (profile : Arch.profile) =
   in
   { dev_id = id;
     profile;
-    stage_used = Array.make (max 1 profile.stages) Resource.zero;
-    pool_used = Resource.zero;
-    tiles_used = Hashtbl.create 4;
-    pem_used = 0;
-    elements = [];
+    occ =
+      { Resource.snap_device = id;
+        shape = shape_of_profile profile;
+        max_block_cycles = profile.max_block_cycles;
+        parser_capacity = profile.parser_capacity;
+        stage_used = Array.make (max 1 profile.stages) Resource.zero;
+        pool_used = Resource.zero;
+        tiles_used = [];
+        pem_used = 0;
+        placed = [];
+        parser_rules = [];
+        map_refs = [];
+        pending_unref = [] };
     headers = [];
     parser = [];
     map_decls = [];
-    map_refs = Hashtbl.create 8;
     env = Interp.create_env empty_prog;
     cached_program = None;
     compiled = None;
@@ -145,102 +134,16 @@ let set_obs ?(labels = []) t scope =
 let version t = t.version
 let env t = t.env
 let processed t = t.processed
-let installed_names t = List.map (fun i -> Ast.element_name i.inst_element) t.elements
+let snapshot t = t.occ
 
-let find_installed t name =
-  List.find_opt (fun i -> Ast.element_name i.inst_element = name) t.elements
-
-let tiles_in_use t kind =
-  Option.value (Hashtbl.find_opt t.tiles_used kind) ~default:0
-
-(* -- Resource snapshot ------------------------------------------------ *)
-
-let shape_of_profile (p : Arch.profile) : Resource.shape =
-  match p.kind with
-  | Arch.Rmt -> Resource.Sh_staged { stages = p.stages; per_stage = p.per_stage }
-  | Arch.Elastic_pipe ->
-    Resource.Sh_staged_pem
-      { stages = p.stages; per_stage = p.per_stage; pem_slots = p.pem_slots }
-  | Arch.Tiles ->
-    Resource.Sh_tiled
-      { tiles = p.tiles; tile_bytes = p.tile_bytes; pool = p.pool }
-  | Arch.Drmt | Arch.Smartnic | Arch.Fpga | Arch.Host_ebpf ->
-    Resource.Sh_pooled { pool = p.pool }
-
-(** An immutable copy of this device's resource state: what the
-    compiler plans against, and what [admit] below checks installs
-    against, so planning and live admission share one model. *)
-let snapshot t : Resource.snapshot =
-  { Resource.snap_device = t.dev_id;
-    shape = shape_of_profile t.profile;
-    max_block_cycles = t.profile.max_block_cycles;
-    parser_capacity = t.profile.parser_capacity;
-    stage_used = Array.copy t.stage_used;
-    pool_used = t.pool_used;
-    tiles_used =
-      List.sort compare
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tiles_used []);
-    pem_used = t.pem_used;
-    placed =
-      List.map
-        (fun i ->
-          { Resource.pl_name = Ast.element_name i.inst_element;
-            pl_order = i.order; pl_slot = i.slot; pl_demand = i.demand;
-            pl_element = i.inst_element; pl_residency = i.residency })
-        t.elements;
-    parser_rules = List.map (fun r -> r.Ast.pr_name) t.parser;
-    map_refs =
-      List.sort compare
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.map_refs []);
-    pending_unref = [] }
-
-(* -- Demand computation --------------------------------------------- *)
-
-(** Resource demand of an element within context program [ctx],
-    including the maps it references that are not yet present on this
-    device (first referencing element pays for the map). *)
-let element_demand t ~(ctx : Ast.program) element =
-  Resource.element_demand (snapshot t) ~ctx element
-
-(* -- Admission ------------------------------------------------------- *)
-
-let stage_free t s = Resource.sub t.profile.per_stage t.stage_used.(s)
-
-(* -- Occupancy bookkeeping ------------------------------------------- *)
-
-let charge t slot demand =
-  match slot with
-  | In_stage s -> t.stage_used.(s) <- Resource.add t.stage_used.(s) demand
-  | In_pool -> t.pool_used <- Resource.add t.pool_used demand
-  | In_pem -> t.pem_used <- t.pem_used + 1
-  | In_tiles (k, n) ->
-    Hashtbl.replace t.tiles_used k (tiles_in_use t k + n);
-    let pool_demand =
-      Resource.v ~action_slots:demand.Resource.action_slots
-        ~instructions:demand.Resource.instructions ()
-    in
-    t.pool_used <- Resource.add t.pool_used pool_demand
-
-let refund t slot demand =
-  match slot with
-  | In_stage s -> t.stage_used.(s) <- Resource.sub t.stage_used.(s) demand
-  | In_pool -> t.pool_used <- Resource.sub t.pool_used demand
-  | In_pem -> t.pem_used <- t.pem_used - 1
-  | In_tiles (k, n) ->
-    Hashtbl.replace t.tiles_used k (tiles_in_use t k - n);
-    let pool_demand =
-      Resource.v ~action_slots:demand.Resource.action_slots
-        ~instructions:demand.Resource.instructions ()
-    in
-    t.pool_used <- Resource.sub t.pool_used pool_demand
+let installed_names t =
+  List.map (fun (p : Resource.placed) -> p.pl_name) t.occ.placed
 
 (* -- Program assembly ------------------------------------------------ *)
 
 let rebuild_program t =
   let pipeline =
-    t.elements
-    |> List.sort (fun a b -> compare a.order b.order)
-    |> List.map (fun i -> i.inst_element)
+    List.map (fun (p : Resource.placed) -> p.pl_element) t.occ.placed
   in
   let prog =
     { Ast.prog_name = t.dev_id; owner = "infra"; headers = t.headers;
@@ -256,7 +159,7 @@ let rebuild_program t =
     let labels = ("device", t.dev_id) :: t.obs_labels in
     Obs.Metrics.incr m ~labels "device.reconfigs";
     Obs.Metrics.set_gauge m ~labels "device.elements"
-      (float_of_int (List.length t.elements));
+      (float_of_int (List.length t.occ.placed));
     Obs.Metrics.set_gauge m ~labels "device.parser_rules"
       (float_of_int (List.length t.parser))
 
@@ -285,123 +188,102 @@ let merge_headers t (ctx : Ast.program) =
       then t.headers <- t.headers @ [ h ])
     ctx.headers
 
-(* Parser rules of the context program must be present for the device to
-   accept the program's traffic; merged on install, bounded by the
-   device's parser capacity. *)
+(* The context's parser rules must be present for the device to accept
+   the program's traffic; [Resource.admit] has checked the capacity. *)
 let merge_parser t (ctx : Ast.program) =
-  let missing =
-    List.filter
-      (fun r ->
-        not (List.exists (fun x -> x.Ast.pr_name = r.Ast.pr_name) t.parser))
-      ctx.parser
-  in
-  if List.length t.parser + List.length missing > t.profile.parser_capacity
-  then Error (No_capacity "parser state capacity reached")
-  else begin
-    t.parser <- t.parser @ missing;
-    Ok ()
-  end
+  t.parser <-
+    t.parser
+    @ List.filter
+        (fun r ->
+          not (List.exists (fun x -> x.Ast.pr_name = r.Ast.pr_name) t.parser))
+        ctx.parser
 
-let instantiate_maps t (ctx : Ast.program) element =
+(* Instantiate the maps [element] references for the first time: those
+   [before] held no reference to and [ctx] declares. *)
+let instantiate_maps t ~(before : Resource.snapshot) (ctx : Ast.program)
+    element =
   Compose.element_maps element
   |> List.sort_uniq compare
   |> List.iter (fun name ->
-         match Hashtbl.find_opt t.map_refs name with
-         | Some n -> Hashtbl.replace t.map_refs name (n + 1)
-         | None ->
-           (match Ast.find_map ctx name with
-            | None -> ()
-            | Some decl ->
-              let enc =
-                Option.value
-                  (State.concrete_of_encoding decl.encoding)
-                  ~default:(default_encoding_of_kind t.profile.kind)
-              in
-              Interp.set_env_map t.env name
-                (State.create ~name ~size:decl.map_size enc);
-              t.map_decls <- t.map_decls @ [ decl ];
-              Hashtbl.replace t.map_refs name 1))
+         if not (List.mem_assoc name before.map_refs) then
+           Option.iter
+             (fun (decl : Ast.map_decl) ->
+               let enc =
+                 Option.value
+                   (State.concrete_of_encoding decl.encoding)
+                   ~default:(default_encoding_of_kind t.profile.kind)
+               in
+               Interp.set_env_map t.env name
+                 (State.create ~name ~size:decl.map_size enc);
+               t.map_decls <- t.map_decls @ [ decl ])
+             (Ast.find_map ctx name))
 
-(** Install one element of [ctx] at pipeline position [order].
-    Admission is delegated to [Resource.admit] over a snapshot — the
-    same check the compiler runs when planning — then the side effects
-    (charging, parser/header merge, map instantiation) are applied to
-    the live device. *)
+(** Install one element of [ctx] at pipeline position [order]:
+    [Resource.admit] on the device's own snapshot, then the live side
+    effects (parser/header merge, map instantiation, table
+    registration and tier bound). *)
 let install t ~(ctx : Ast.program) ~order element =
-  let snap = snapshot t in
-  match Resource.admit snap ~ctx ~order element with
+  let before = t.occ in
+  match Resource.admit before ~ctx ~order element with
   | Error _ as e -> e
-  | Ok (slot, admitted) ->
-    (* the placed entry in the admitted snapshot is authoritative: for
-       an oversubscribed table its demand is already clamped to the
-       device tier and it carries the residency — recomputing the raw
-       demand here would diverge from the planner's model *)
-    let entry =
-      Option.get (Resource.find_placed admitted (Ast.element_name element))
-    in
-    let demand = entry.Resource.pl_demand in
-    let residency = entry.Resource.pl_residency in
-    let _, new_maps = Resource.element_demand snap ~ctx element in
-    (match merge_parser t ctx with
-     | Error e -> Error e (* unreachable: [admit] checked the capacity *)
-     | Ok () ->
-       charge t slot demand;
-       merge_headers t ctx;
-       instantiate_maps t ctx element;
-       (match element with
-        | Ast.Table tbl ->
-          Interp.register_table t.env tbl;
-          (match residency with
-           | Some r ->
-             Interp.set_tier_capacity t.env tbl.Ast.tbl_name
-               r.Resource.res_device_rules
-           | None ->
-             if Interp.tier_capacity t.env tbl.Ast.tbl_name <> None then
-               Interp.set_tier_capacity t.env tbl.Ast.tbl_name 0)
-        | Ast.Block _ -> ());
-       let inst =
-         { inst_element = element; inst_owner = ctx.owner; demand;
-           maps_charged = new_maps; residency; slot; order; active = true }
-       in
-       t.elements <-
-         List.sort (fun a b -> compare a.order b.order) (inst :: t.elements);
-       rebuild_program t;
-       Ok slot)
+  | Ok (slot, occ) ->
+    t.occ <- occ;
+    merge_parser t ctx;
+    merge_headers t ctx;
+    instantiate_maps t ~before ctx element;
+    (match element with
+     | Ast.Table tbl ->
+       Interp.register_table t.env tbl;
+       (* the placed entry carries the residency of a table admitted
+          oversubscribed: its device tier is bounded *)
+       (match
+          Option.bind
+            (Resource.find_placed occ tbl.Ast.tbl_name)
+            (fun p -> p.Resource.pl_residency)
+        with
+        | Some r ->
+          Interp.set_tier_capacity t.env tbl.Ast.tbl_name
+            r.Resource.res_device_rules
+        | None ->
+          if Interp.tier_capacity t.env tbl.Ast.tbl_name <> None then
+            Interp.set_tier_capacity t.env tbl.Ast.tbl_name 0)
+     | Ast.Block _ -> ());
+    rebuild_program t;
+    Ok slot
 
 let defer t cleanup =
   match t.frozen with
   | Some _ -> t.deferred <- cleanup :: t.deferred
   | None -> cleanup ()
 
-let release_maps t inst =
-  Compose.element_maps inst.inst_element
-  |> List.sort_uniq compare
-  |> List.iter (fun name ->
-         match Hashtbl.find_opt t.map_refs name with
-         | None -> ()
-         | Some 1 ->
-           Hashtbl.remove t.map_refs name;
-           Interp.remove_env_map t.env name;
-           t.map_decls <-
-             List.filter (fun (m : Ast.map_decl) -> m.map_name <> name)
-               t.map_decls
-         | Some n -> Hashtbl.replace t.map_refs name (n - 1))
+(* Process the deferred map unrefs: drop the env map and declaration of
+   every map whose last reference went away. *)
+let finalize t =
+  let occ = Resource.finalize t.occ in
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name occ.map_refs) then begin
+        Interp.remove_env_map t.env name;
+        t.map_decls <-
+          List.filter (fun (m : Ast.map_decl) -> m.map_name <> name)
+            t.map_decls
+      end)
+    (List.sort_uniq compare t.occ.pending_unref);
+  t.occ <- occ
 
 let uninstall t name =
-  match find_installed t name with
-  | None -> false
-  | Some inst ->
-    refund t inst.slot inst.demand;
-    defer t (fun () -> release_maps t inst);
-    t.elements <- List.filter (fun i -> i != inst) t.elements;
-    (match inst.inst_element with
+  match Resource.find_placed t.occ name, Resource.release t.occ name with
+  | Some p, Some (_, occ) ->
+    t.occ <- occ;
+    if t.frozen = None then finalize t;
+    (match p.pl_element with
      | Ast.Table tbl ->
        let tname = tbl.Ast.tbl_name in
        defer t (fun () ->
            (* skip when an element of that name was (re)installed during
               the window — its registration, rules, and tier bound must
               survive the thaw *)
-           if find_installed t tname = None then begin
+           if Resource.find_placed t.occ tname = None then begin
              Interp.unregister_table t.env tname;
              if Interp.tier_capacity t.env tname <> None then
                Interp.set_tier_capacity t.env tname 0
@@ -409,41 +291,15 @@ let uninstall t name =
      | Ast.Block _ -> ());
     rebuild_program t;
     true
+  | _ -> false
 
-(** Re-pack all staged elements first-fit in order — the fungibility
+(** Re-pack staged elements first-fit in order — the fungibility
     defragmentation pass. Returns how many elements moved. *)
 let defragment t =
-  match t.profile.kind with
-  | Arch.Rmt | Arch.Elastic_pipe ->
-    let staged, rest =
-      List.partition
-        (fun i -> match i.slot with In_stage _ -> true | _ -> false)
-        t.elements
-    in
-    let staged = List.sort (fun a b -> compare a.order b.order) staged in
-    Array.fill t.stage_used 0 (Array.length t.stage_used) Resource.zero;
-    let moved = ref 0 in
-    let current_min = ref 0 in
-    List.iter
-      (fun inst ->
-        let rec try_stage s =
-          if s >= t.profile.stages then s (* cannot happen: it fit before *)
-          else if Resource.fits inst.demand (stage_free t s) then s
-          else try_stage (s + 1)
-        in
-        let s = try_stage !current_min in
-        current_min := s;
-        (match inst.slot with
-         | In_stage old when old <> s -> incr moved
-         | _ -> ());
-        inst.slot <- In_stage s;
-        t.stage_used.(s) <- Resource.add t.stage_used.(s) inst.demand)
-      staged;
-    t.elements <-
-      List.sort (fun a b -> compare a.order b.order) (staged @ rest);
-    if !moved > 0 then rebuild_program t;
-    !moved
-  | _ -> 0
+  let moved, occ = Resource.defragment t.occ in
+  t.occ <- occ;
+  if moved > 0 then rebuild_program t;
+  moved
 
 (* -- State transfer ---------------------------------------------------- *)
 
@@ -471,24 +327,21 @@ let load_map_snapshot t name snap =
 (* -- Parser reconfiguration ------------------------------------------ *)
 
 let add_parser_rule t rule =
-  if List.length t.parser >= t.profile.parser_capacity then
-    Error (No_capacity "parser state capacity reached")
-  else if List.exists (fun r -> r.Ast.pr_name = rule.Ast.pr_name) t.parser then
-    Error (Unsupported ("duplicate parser rule " ^ rule.Ast.pr_name))
-  else begin
-    t.parser <- t.parser @ [ rule ];
-    rebuild_program t;
-    Ok ()
-  end
+  Result.map
+    (fun occ ->
+      t.occ <- occ;
+      t.parser <- t.parser @ [ rule ];
+      rebuild_program t)
+    (Resource.add_parser_rule t.occ rule)
 
 let remove_parser_rule t name =
-  let before = List.length t.parser in
-  t.parser <- List.filter (fun r -> r.Ast.pr_name <> name) t.parser;
-  if List.length t.parser < before then begin
+  match Resource.remove_parser_rule t.occ name with
+  | None -> false
+  | Some occ ->
+    t.occ <- occ;
+    t.parser <- List.filter (fun r -> r.Ast.pr_name <> name) t.parser;
     rebuild_program t;
     true
-  end
-  else false
 
 (* -- Execution -------------------------------------------------------- *)
 
@@ -504,17 +357,10 @@ let freeze t =
     t.frozen <- Some (program t, t.version);
     t.checkpoint <-
       Some
-        { ck_elements = List.map (fun i -> { i with slot = i.slot }) t.elements;
+        { ck_occ = t.occ;
           ck_headers = t.headers;
           ck_parser = t.parser;
           ck_map_decls = t.map_decls;
-          ck_stage_used = Array.copy t.stage_used;
-          ck_pool_used = t.pool_used;
-          ck_tiles_used =
-            Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tiles_used [];
-          ck_pem_used = t.pem_used;
-          ck_map_refs =
-            Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.map_refs [];
           ck_env_maps = hashtbl_keys t.env.Interp.maps;
           ck_env_tables = hashtbl_keys t.env.Interp.tables;
           ck_tier_caps =
@@ -534,6 +380,7 @@ let thaw t =
     t.frozen <- None;
     t.compiled_frozen <- None;
     t.checkpoint <- None;
+    finalize t;
     List.iter (fun f -> f ()) (List.rev t.deferred);
     t.deferred <- [];
     precompile t
@@ -549,17 +396,10 @@ let is_frozen t = t.frozen <> None
 let rollback t =
   match t.frozen, t.checkpoint with
   | Some (old_prog, _), Some ck ->
-    t.elements <- ck.ck_elements;
+    t.occ <- ck.ck_occ;
     t.headers <- ck.ck_headers;
     t.parser <- ck.ck_parser;
     t.map_decls <- ck.ck_map_decls;
-    Array.blit ck.ck_stage_used 0 t.stage_used 0 (Array.length t.stage_used);
-    t.pool_used <- ck.ck_pool_used;
-    Hashtbl.reset t.tiles_used;
-    List.iter (fun (k, v) -> Hashtbl.replace t.tiles_used k v) ck.ck_tiles_used;
-    t.pem_used <- ck.ck_pem_used;
-    Hashtbl.reset t.map_refs;
-    List.iter (fun (k, v) -> Hashtbl.replace t.map_refs k v) ck.ck_map_refs;
     List.iter
       (fun name ->
         if not (List.mem name ck.ck_env_maps) then
@@ -675,23 +515,7 @@ let warm_tier t name keys = Compile.warm_table (compiled_program t) name keys
 
 (* -- Utilization / energy --------------------------------------------- *)
 
-let utilization t =
-  match t.profile.kind with
-  | Arch.Rmt | Arch.Elastic_pipe ->
-    let total = Resource.scale t.profile.stages t.profile.per_stage in
-    let used = Array.fold_left Resource.add Resource.zero t.stage_used in
-    Resource.utilization ~used ~capacity:total
-  | Arch.Tiles ->
-    let tile_util =
-      List.fold_left
-        (fun acc (k, cap) ->
-          if cap = 0 then acc
-          else Float.max acc (float_of_int (tiles_in_use t k) /. float_of_int cap))
-        0. t.profile.tiles
-    in
-    Float.max tile_util
-      (Resource.utilization ~used:t.pool_used ~capacity:t.profile.pool)
-  | _ -> Resource.utilization ~used:t.pool_used ~capacity:t.profile.pool
+let utilization t = Resource.occupancy t.occ
 
 let set_power t on = t.powered_on <- on
 let powered_on t = t.powered_on
@@ -705,5 +529,5 @@ let reconfig_times t = t.profile.reconfig
 let pp ppf t =
   Fmt.pf ppf "%s(%s, %d elements, util %.0f%%)" t.dev_id
     (Arch.kind_to_string t.profile.kind)
-    (List.length t.elements)
+    (List.length t.occ.placed)
     (100. *. utilization t)

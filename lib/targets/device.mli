@@ -12,25 +12,16 @@
     program while mutations are applied; [thaw] makes the new program
     visible atomically and runs deferred cleanups. *)
 
-type slot = Resource.slot =
-  | In_stage of int
-  | In_tiles of Arch.tile_kind * int (* tile kind, number of tiles *)
-  | In_pool
-  | In_pem
-
-val slot_to_string : slot -> string
-
-type reject = Resource.reject =
-  | No_capacity of string
-  | Unsupported of string
-
-val reject_to_string : reject -> string
+(** [Resource.reject_to_string]. *)
+val reject_to_string : Resource.reject -> string
 
 type t
 
-(** An immutable copy of the device's resource state — what the
-    compiler plans against ([Resource.admit] over a snapshot is exactly
-    the admission [install] performs on the live device). *)
+(** The device's resource state. The device holds it as this immutable
+    value and changes it only through [Resource]'s functions ([install]
+    is [Resource.admit] on it), so the compiler plans against the very
+    value the device admits against. While a window is open it carries
+    the window's deferred map unrefs in [pending_unref]. *)
 val snapshot : t -> Resource.snapshot
 
 (** The compiler's state-encoding selection (§3.1): each architecture
@@ -60,21 +51,13 @@ val env : t -> Flexbpf.Interp.env
 val processed : t -> int
 val installed_names : t -> string list
 
-(** Resource demand of an element within context program [ctx],
-    including not-yet-present maps it references (the first referencing
-    element pays for a map). Returns (demand, newly charged maps). *)
-val element_demand :
-  t -> ctx:Flexbpf.Ast.program -> Flexbpf.Ast.element ->
-  Resource.t * (string * int) list
-
-(** Install one element of [ctx] at pipeline position [order].
-    Admission is architecture-specific: per-stage fit with monotonic
-    order on RMT/elastic, typed tiles on Tiles, pooled elsewhere;
-    blocks are bounded by [max_block_cycles]. The context's parser
-    rules and headers are merged in. *)
+(** Install one element of [ctx] at pipeline position [order]:
+    [Resource.admit] on the device's snapshot (architecture-specific
+    slotting, block-cycle bound, parser capacity), then the context's
+    parser rules, headers and newly referenced maps are merged in. *)
 val install :
   t -> ctx:Flexbpf.Ast.program -> order:int -> Flexbpf.Ast.element ->
-  (slot, reject) result
+  (Resource.slot, Resource.reject) result
 
 (** Remove an element, refunding its resources. Map/rule cleanup is
     deferred while frozen so the old program stays runnable. *)
@@ -96,7 +79,8 @@ val load_map_snapshot : t -> string -> Flexbpf.State.snapshot -> bool
 
 (** {2 Parser reconfiguration} *)
 
-val add_parser_rule : t -> Flexbpf.Ast.parser_rule -> (unit, reject) result
+val add_parser_rule :
+  t -> Flexbpf.Ast.parser_rule -> (unit, Resource.reject) result
 val remove_parser_rule : t -> string -> bool
 
 (** {2 Two-version consistency} *)
@@ -111,7 +95,7 @@ val thaw : t -> unit
 val is_frozen : t -> bool
 
 (** Abort the open window: restore the structural state captured at
-    [freeze] and resume on the old program. Maps/tables added by the
+    [freeze] (the snapshot among it) and resume on the old program. Maps/tables added by the
     aborted update are dropped; pre-existing map contents (still being
     mutated by traffic under the old program) are kept. No-op when not
     frozen. *)

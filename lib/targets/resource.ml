@@ -3,13 +3,13 @@
     The vector type [t] describes both a capacity (what a stage, tile
     pool, or device offers) and a demand (what a program element needs).
 
-    A [snapshot] is an immutable copy of one device's resource state:
+    A [snapshot] is one device's resource state as an immutable value:
     its architecture shape (how resources are partitioned — the paper's
     fungibility taxonomy), current occupancy, placed elements, parser
     rules, and map reference counts. [admit] checks an element against a
-    snapshot and returns the updated snapshot, mirroring exactly what
-    [Targets.Device.install] would do to the live device — the compiler
-    plans against snapshots and never touches hardware. *)
+    snapshot and returns the updated snapshot. A device holds its state
+    as a snapshot and installs through [admit]; the compiler plans with
+    the same functions over the same values and never touches hardware. *)
 
 open Flexbpf
 
@@ -159,8 +159,7 @@ type snapshot = {
   parser_rules : string list; (* rule names, in device order *)
   map_refs : (string * int) list;
   pending_unref : string list;
-      (* map names whose refcount drop is deferred to [finalize] —
-         mirrors the device's frozen-window deferred cleanups *)
+      (* map names whose refcount drop is deferred to [finalize] *)
 }
 
 let snap_tiles_in_use snap kind =
@@ -263,8 +262,7 @@ let admit_tiles snap ~tiles:_ ~tile_bytes ~pool element demand =
       Error (No_capacity "action/instruction pool exhausted")
     else Ok (In_tiles (tile_kind, tiles_needed))
 
-(** Pick a slot for the element, architecture-specifically — the same
-    decision [Targets.Device.install] makes on the live device. *)
+(** Pick a slot for the element, architecture-specifically. *)
 let admit_slot snap ~order element demand =
   let is_block = match element with Ast.Block _ -> true | Ast.Table _ -> false in
   if is_block && block_cycles element > snap.max_block_cycles then
@@ -440,8 +438,8 @@ let admit snap ~(ctx : Ast.program) ~order element =
             pl_demand = demand; pl_element = element;
             pl_residency = residency }
         in
-        (* cons-then-stable-sort, like the device, so elements sharing
-           an order keep identical list positions on both sides *)
+        (* cons-then-stable-sort: an element sharing an order with
+           placed ones goes first among them *)
         let placed =
           List.stable_sort
             (fun a b -> compare a.pl_order b.pl_order)
@@ -456,9 +454,9 @@ let admit snap ~(ctx : Ast.program) ~order element =
   end
 
 (** Release a placed element by name: its demand is refunded
-    immediately, but the map-reference drop is deferred to [finalize] —
-    exactly the device's frozen-window semantics, under which all plans
-    execute. [None] if the element is not placed. *)
+    immediately, but the map-reference drop is deferred to [finalize],
+    so the maps outlive a two-version window in which every plan
+    executes. [None] if the element is not placed. *)
 let release snap name =
   match find_placed snap name with
   | None -> None
@@ -470,8 +468,8 @@ let release snap name =
       (p.pl_slot,
        { snap with placed; pending_unref = snap.pending_unref @ unrefs })
 
-(** Process deferred map unrefs — the snapshot counterpart of the
-    device's thaw-time cleanup: refcount 1 means the map disappears. *)
+(** Process deferred map unrefs (a device does so at thaw): refcount 1
+    means the map disappears. *)
 let finalize snap =
   let map_refs =
     List.fold_left
@@ -502,10 +500,9 @@ let remove_parser_rule snap name =
 
 (* -- Defragmentation --------------------------------------------------- *)
 
-(** Re-pack staged elements first-fit in pipeline order — the snapshot
-    counterpart of [Targets.Device.defragment], byte-for-byte the same
-    first-fit so a planned defrag predicts the device's slots. Returns
-    (elements moved, new snapshot). No-op on unstaged shapes. *)
+(** Re-pack staged elements first-fit in pipeline order so free stage
+    space coalesces. Returns (elements moved, new snapshot). No-op on
+    unstaged shapes. *)
 let defragment snap =
   match snap.shape with
   | Sh_staged { stages; per_stage } | Sh_staged_pem { stages; per_stage; _ } ->
@@ -546,6 +543,28 @@ let defragment snap =
   | _ -> (0, snap)
 
 (* -- Cost / reconciliation -------------------------------------------- *)
+
+(** Most-loaded-dimension occupancy in [0, 1]: over all stages of a
+    staged shape; the fuller of the busiest tile kind and the shared
+    pool of a tiled one; over the pool otherwise. *)
+let occupancy snap =
+  match snap.shape with
+  | Sh_staged { stages; per_stage } | Sh_staged_pem { stages; per_stage; _ } ->
+    utilization
+      ~used:(Array.fold_left add zero snap.stage_used)
+      ~capacity:(scale stages per_stage)
+  | Sh_tiled { tiles; pool; _ } ->
+    let tile_util =
+      List.fold_left
+        (fun acc (k, cap) ->
+          if cap = 0 then acc
+          else
+            Float.max acc
+              (float_of_int (snap_tiles_in_use snap k) /. float_of_int cap))
+        0. tiles
+    in
+    Float.max tile_util (utilization ~used:snap.pool_used ~capacity:pool)
+  | Sh_pooled { pool } -> utilization ~used:snap.pool_used ~capacity:pool
 
 (** Occupied resources, summed over the shape's partitions. Tiles are
     accounted as [tiles_used × tile_bytes] of SRAM — an approximation

@@ -1,9 +1,10 @@
 (** Resource vectors and device resource snapshots. The vector type
     [t] describes both a capacity (what a stage, tile pool, or device
     offers) and a demand (what a program element needs); a [snapshot]
-    is an immutable copy of one device's resource state that [admit]
-    and friends update purely, so the compiler can plan placements
-    without touching hardware. *)
+    is one device's resource state as an immutable value that [admit]
+    and friends update purely. A device holds its state as a snapshot
+    and installs through [admit], so the compiler plans placements
+    with the same functions without touching hardware. *)
 
 type t = {
   sram_bytes : int;
@@ -125,8 +126,8 @@ val min_stage : snapshot -> order:int -> int
 (** Full install-time admission of one element of [ctx] at pipeline
     position [order]: block-cycle bound, demand, architecture-specific
     slotting, parser capacity for missing context rules. On success
-    returns the chosen slot and the post-install snapshot — exactly
-    what [Targets.Device.install] would do to the live device.
+    returns the chosen slot and the post-install snapshot
+    ([Targets.Device.install] runs this on the device's own snapshot).
 
     Oversubscription is admission policy, not rejection: a table whose
     full match memory does not slot is admitted with the largest
@@ -137,12 +138,11 @@ val admit :
   (slot * snapshot, reject) result
 
 (** Release a placed element: demand refunded now, map-reference drop
-    deferred to [finalize] (the device's frozen-window semantics, under
-    which all plans execute). [None] if absent. *)
+    deferred to [finalize] (maps outlive the two-version window in
+    which every plan executes). [None] if absent. *)
 val release : snapshot -> string -> (slot * snapshot) option
 
-(** Process deferred map unrefs — the snapshot counterpart of the
-    device's thaw-time cleanup. *)
+(** Process deferred map unrefs (a device does so at thaw). *)
 val finalize : snapshot -> snapshot
 
 val add_parser_rule :
@@ -151,11 +151,14 @@ val add_parser_rule :
 (** [None] if the rule is not present. *)
 val remove_parser_rule : snapshot -> string -> snapshot option
 
-(** Re-pack staged elements first-fit in pipeline order (the snapshot
-    counterpart of [Targets.Device.defragment], same first-fit, so a
-    planned defrag predicts the device's slots). Returns (moves, new
-    snapshot). *)
+(** Re-pack staged elements first-fit in pipeline order so free stage
+    space coalesces. Returns (moves, new snapshot); no-op on unstaged
+    shapes. *)
 val defragment : snapshot -> int * snapshot
+
+(** Most-loaded-dimension occupancy in [0, 1] (per shape: all stages;
+    the busiest tile kind or the shared pool; the pool). *)
+val occupancy : snapshot -> float
 
 (** Occupied resources summed over the shape's partitions; tiles count
     as whole tiles of SRAM. *)

@@ -600,7 +600,7 @@ let test_device_swap_consistency () =
         match Targets.Device.install dev ~ctx:route_all_prog ~order:i el with
         | Ok _ -> ()
         | Error r ->
-          Alcotest.failf "install: %s" (Targets.Device.reject_to_string r))
+          Alcotest.failf "install: %s" (Targets.Resource.reject_to_string r))
       route_all_prog.Ast.pipeline;
     Interp.install_rule (Targets.Device.env dev) "ipv4_lpm"
       (Apps.L2l3.route_rule ~host_id:2 ~port:4);
@@ -655,7 +655,7 @@ let test_frozen_program_isolated () =
   let ctx = program "ctx" [ fwd_table ] in
   (match Targets.Device.install dev ~ctx ~order:0 fwd_table with
    | Ok _ -> ()
-   | Error r -> Alcotest.failf "install: %s" (Targets.Device.reject_to_string r));
+   | Error r -> Alcotest.failf "install: %s" (Targets.Resource.reject_to_string r));
   Interp.install_rule (Targets.Device.env dev) "t"
     (rule ~matches:[ exact_i 2 ] ~action:("fwd", [ 7 ]) ());
   let exec dst =

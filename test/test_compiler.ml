@@ -482,7 +482,7 @@ let test_consolidation_powers_off () =
   match Runtime.Reconfig.place ~path prog with
   | Error f -> Alcotest.failf "place: %a" Compiler.Placement.pp_failure f
   | Ok placement ->
-    let report = Compiler.Energy.consolidate placement in
+    let report = Runtime.Reconfig.consolidate placement in
     check "energy reduced or equal" true
       (report.Compiler.Energy.watts_after <= report.Compiler.Energy.watts_before);
     (* devices that ended empty are off *)
@@ -496,6 +496,53 @@ let test_consolidation_powers_off () =
     Compiler.Energy.expand path;
     check "expand powers all on" true
       (List.for_all Targets.Device.powered_on path)
+
+let test_consolidation_carries_rules () =
+  (* a table drained onto another device keeps its rules: a packet that
+     hit before the move still hits on the destination *)
+  let fwd =
+    table "fwd"
+      ~keys:[ exact (field "ipv4" "dst") ]
+      ~actions:[ action "out" ~params:[ "p" ] [ forward (param "p") ] ]
+      ~default:("nop", []) ~size:16 ()
+  in
+  let big =
+    table "big"
+      ~keys:[ exact (field "ipv4" "dst") ]
+      ~actions:[ action "a" [ Flexbpf.Ast.Nop ] ]
+      ~default:("a", []) ~size:30_000 ()
+  in
+  let prog = program "p" [ fwd; big ] in
+  let d0 = Targets.Device.create ~id:"s0" Targets.Arch.drmt in
+  let d1 = Targets.Device.create ~id:"s1" Targets.Arch.drmt in
+  List.iteri
+    (fun i (dev, el) ->
+      match Targets.Device.install dev ~ctx:prog ~order:i el with
+      | Ok _ -> ()
+      | Error r ->
+        Alcotest.failf "install: %s" (Targets.Resource.reject_to_string r))
+    [ (d0, fwd); (d1, big) ];
+  Flexbpf.Interp.install_rule (Targets.Device.env d0) "fwd"
+    (rule ~matches:[ exact_i 2 ] ~action:("out", [ 7 ]) ());
+  let placement =
+    { Compiler.Placement.path = [ d0; d1 ]; prog;
+      where = [ ("fwd", d0); ("big", d1) ] }
+  in
+  let report = Runtime.Reconfig.consolidate placement in
+  check_int "one move" 1 (Compiler.Plan.size report.Compiler.Energy.plan);
+  Alcotest.(check (list string)) "drained device off" [ "s0" ]
+    report.Compiler.Energy.powered_off;
+  Alcotest.(check (option string)) "placement updated" (Some "s1")
+    (find_dev placement "fwd");
+  let pkt =
+    Netsim.Packet.create
+      [ Netsim.Packet.ethernet ~src:1L ~dst:2L ();
+        Netsim.Packet.ipv4 ~src:1L ~dst:2L ();
+        Netsim.Packet.tcp ~sport:10L ~dport:20L () ]
+  in
+  Alcotest.(check (option int)) "rule still hits after the move" (Some 7)
+    (Targets.Device.exec d1 ~now_us:0L pkt).Flexbpf.Interp.verdict
+      .Flexbpf.Interp.egress
 
 let () =
   Alcotest.run "compiler"
@@ -528,4 +575,6 @@ let () =
         [ Alcotest.test_case "estimate+certify" `Quick test_sla_estimate_and_certify;
           Alcotest.test_case "host penalty" `Quick test_sla_penalizes_host_placement ] );
       ( "energy",
-        [ Alcotest.test_case "consolidation" `Quick test_consolidation_powers_off ] ) ]
+        [ Alcotest.test_case "consolidation" `Quick test_consolidation_powers_off;
+          Alcotest.test_case "consolidation carries rules" `Quick
+            test_consolidation_carries_rules ] ) ]

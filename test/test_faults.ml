@@ -450,7 +450,7 @@ let paging_scenario ~seed ~drop_prob ~stop ~ndsts ~lookups =
   let prog = program "fwd" [ tbl ] in
   (match Targets.Device.install dev ~ctx:prog ~order:0 tbl with
    | Ok _ -> ()
-   | Error r -> Alcotest.failf "install: %s" (Targets.Device.reject_to_string r));
+   | Error r -> Alcotest.failf "install: %s" (Targets.Resource.reject_to_string r));
   let env = Targets.Device.env dev in
   for d = 1 to 8 do
     Flexbpf.Interp.install_rule env "t"
@@ -542,7 +542,7 @@ let test_delayed_page_keeps_missed_key () =
   let tbl = tier_table "t" in
   (match Targets.Device.install dev ~ctx:(program "fwd" [ tbl ]) ~order:0 tbl with
    | Ok _ -> ()
-   | Error r -> Alcotest.failf "install: %s" (Targets.Device.reject_to_string r));
+   | Error r -> Alcotest.failf "install: %s" (Targets.Resource.reject_to_string r));
   let env = Targets.Device.env dev in
   for d = 1 to 8 do
     Flexbpf.Interp.install_rule env "t"
@@ -597,7 +597,7 @@ let move_fixture ~crash =
   let src = List.nth devs 0 and dst = List.nth devs 1 in
   (match Targets.Device.install src ~ctx:prog ~order:0 tbl with
    | Ok _ -> ()
-   | Error r -> Alcotest.failf "install: %s" (Targets.Device.reject_to_string r));
+   | Error r -> Alcotest.failf "install: %s" (Targets.Resource.reject_to_string r));
   for d = 1 to 8 do
     Flexbpf.Interp.install_rule (Targets.Device.env src) "t"
       (rule ~matches:[ exact_i d ] ~action:("fwd", [ 10 + d ]) ())

@@ -66,7 +66,7 @@ let test_program_executes_on_path () =
   let s1 = List.nth devs 1 in
   (match Targets.Device.install s1 ~ctx:prog ~order:0 counter with
    | Ok _ -> ()
-   | Error r -> Alcotest.failf "install: %s" (Targets.Device.reject_to_string r));
+   | Error r -> Alcotest.failf "install: %s" (Targets.Resource.reject_to_string r));
   ignore (send_one topo h0 h1);
   ignore (send_one topo h0 h1);
   ignore (Netsim.Sim.run sim);
@@ -186,7 +186,7 @@ let mk_sketch_device id =
   let upd = Apps.Cm_sketch.update_block sketch_cfg in
   (match Targets.Device.install dev ~ctx:prog ~order:0 upd with
    | Ok _ -> ()
-   | Error r -> Alcotest.failf "install: %s" (Targets.Device.reject_to_string r));
+   | Error r -> Alcotest.failf "install: %s" (Targets.Resource.reject_to_string r));
   dev
 
 let random_packet rng =

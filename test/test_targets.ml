@@ -98,7 +98,7 @@ let test_install_and_exec () =
   let ctx = prog_of [ small_table "t" ] in
   (match Targets.Device.install dev ~ctx ~order:0 (small_table "t") with
    | Ok _ -> ()
-   | Error r -> Alcotest.failf "install: %s" (Targets.Device.reject_to_string r));
+   | Error r -> Alcotest.failf "install: %s" (Targets.Resource.reject_to_string r));
   Flexbpf.Interp.install_rule (Targets.Device.env dev) "t"
     (rule ~matches:[ exact_i 2 ] ~action:("fwd", [ 4 ]) ());
   let r = Targets.Device.exec dev ~now_us:0L (mk_packet ~dst:2L ()) in
@@ -111,7 +111,7 @@ let test_double_install_rejected () =
   let ctx = prog_of [ small_table "t" ] in
   ignore (Targets.Device.install dev ~ctx ~order:0 (small_table "t"));
   match Targets.Device.install dev ~ctx ~order:1 (small_table "t") with
-  | Error (Targets.Device.Unsupported _) -> ()
+  | Error (Targets.Resource.Unsupported _) -> ()
   | _ -> Alcotest.fail "expected duplicate rejection"
 
 let test_uninstall_frees_resources () =
@@ -166,9 +166,9 @@ let test_rmt_order_constraint () =
   let ctx = prog_of [ big_exact_table "a"; big_exact_table "b"; small_table "c" ] in
   let slot_of el order =
     match Targets.Device.install dev ~ctx ~order el with
-    | Ok (Targets.Device.In_stage s) -> s
+    | Ok (Targets.Resource.In_stage s) -> s
     | Ok _ -> Alcotest.fail "expected stage slot"
-    | Error r -> Alcotest.failf "install: %s" (Targets.Device.reject_to_string r)
+    | Error r -> Alcotest.failf "install: %s" (Targets.Resource.reject_to_string r)
   in
   let sa = slot_of (big_exact_table "a") 0 in
   let sb = slot_of (big_exact_table "b") 1 in
@@ -188,7 +188,7 @@ let test_drmt_pool_fungible () =
   List.iteri
     (fun i el ->
       match Targets.Device.install dev ~ctx ~order:i el with
-      | Ok Targets.Device.In_pool -> incr installed
+      | Ok Targets.Resource.In_pool -> incr installed
       | Ok _ -> Alcotest.fail "expected pool slot"
       | Error _ -> ())
     ctx.Flexbpf.Ast.pipeline;
@@ -199,10 +199,10 @@ let test_tiles_typed_capacity () =
   (* exact tables land in hash tiles, lpm in tcam tiles *)
   let ctx = prog_of [ small_table "e"; lpm_table "l" ] in
   (match Targets.Device.install dev ~ctx ~order:0 (small_table "e") with
-   | Ok (Targets.Device.In_tiles (Targets.Arch.Hash_tile, _)) -> ()
+   | Ok (Targets.Resource.In_tiles (Targets.Arch.Hash_tile, _)) -> ()
    | _ -> Alcotest.fail "exact table should use hash tiles");
   (match Targets.Device.install dev ~ctx ~order:1 (lpm_table "l") with
-   | Ok (Targets.Device.In_tiles (Targets.Arch.Tcam_tile, _)) -> ()
+   | Ok (Targets.Resource.In_tiles (Targets.Arch.Tcam_tile, _)) -> ()
    | _ -> Alcotest.fail "lpm table should use tcam tiles");
   (* exhaust tcam tiles: 8 tiles of 768KB; each lpm_table of 50k entries
      consumes multiple tiles *)
@@ -223,7 +223,7 @@ let test_tiles_typed_capacity () =
   check "tcam tiles exhaust before hash tiles" true (!accepted < 8);
   (* hash tiles still have room *)
   (match Targets.Device.install dev ~ctx ~order:50 (small_table "e2") with
-   | Ok (Targets.Device.In_tiles (Targets.Arch.Hash_tile, _)) -> ()
+   | Ok (Targets.Resource.In_tiles (Targets.Arch.Hash_tile, _)) -> ()
    | _ -> Alcotest.fail "hash tiles should still admit")
 
 let test_elastic_pem_for_blocks () =
@@ -231,7 +231,7 @@ let test_elastic_pem_for_blocks () =
   let blk = block "b" [ set_meta "x" (const 1) ] in
   let ctx = prog_of [ blk ] in
   (match Targets.Device.install dev ~ctx ~order:0 blk with
-   | Ok Targets.Device.In_pem -> ()
+   | Ok Targets.Resource.In_pem -> ()
    | _ -> Alcotest.fail "blocks should use PEM slots");
   (* PEM slots are finite *)
   let accepted = ref 0 in
@@ -254,11 +254,11 @@ let test_block_cycle_limits () =
     Targets.Device.install dev ~ctx ~order:0 heavy
   in
   (match try_on Targets.Arch.Drmt with
-   | Error (Targets.Device.Unsupported _) -> ()
+   | Error (Targets.Resource.Unsupported _) -> ()
    | _ -> Alcotest.fail "switch should reject heavy block");
   (match try_on Targets.Arch.Host_ebpf with
    | Ok _ -> ()
-   | Error r -> Alcotest.failf "host should admit: %s" (Targets.Device.reject_to_string r))
+   | Error r -> Alcotest.failf "host should admit: %s" (Targets.Resource.reject_to_string r))
 
 let test_map_charged_once () =
   let dev = Targets.Device.create Targets.Arch.drmt in
@@ -266,9 +266,13 @@ let test_map_charged_once () =
   let b1 = block "b1" [ map_incr "shared" [ const 0 ] ] in
   let b2 = block "b2" [ map_incr "shared" [ const 1 ] ] in
   let ctx = program "ctx" ~maps:[ shared_map ] [ b1; b2 ] in
-  let d1, maps1 = Targets.Device.element_demand dev ~ctx b1 in
+  let d1, maps1 =
+    Targets.Resource.element_demand (Targets.Device.snapshot dev) ~ctx b1
+  in
   ignore (Targets.Device.install dev ~ctx ~order:0 b1);
-  let d2, maps2 = Targets.Device.element_demand dev ~ctx b2 in
+  let d2, maps2 =
+    Targets.Resource.element_demand (Targets.Device.snapshot dev) ~ctx b2
+  in
   check "first element pays for the map" true
     (d1.Targets.Resource.sram_bytes > d2.Targets.Resource.sram_bytes);
   check_int "map charged to first" 1 (List.length maps1);
@@ -282,14 +286,16 @@ let test_oversubscribed_table_admitted () =
   let dev = Targets.Device.create Targets.Arch.rmt in
   let tbl = big_exact_table ~size:150_000 "huge" in
   let ctx = prog_of [ tbl ] in
-  let demand, _ = Targets.Device.element_demand dev ~ctx tbl in
+  let demand, _ =
+    Targets.Resource.element_demand (Targets.Device.snapshot dev) ~ctx tbl
+  in
   check "logical demand exceeds a stage" true
     (demand.Targets.Resource.sram_bytes
      > Targets.Arch.rmt.Targets.Arch.per_stage.Targets.Resource.sram_bytes);
   (match Targets.Device.install dev ~ctx ~order:0 tbl with
    | Error r ->
      Alcotest.failf "oversubscribed install rejected: %s"
-       (Targets.Device.reject_to_string r)
+       (Targets.Resource.reject_to_string r)
    | Ok _ -> ());
   (* the snapshot carries the residency, the env carries the tier cap *)
   (match Targets.Resource.find_placed (Targets.Device.snapshot dev) "huge" with
@@ -343,7 +349,7 @@ let test_defragment_compacts () =
            (big_exact_table "fresh")
    with
    | Ok _ -> ()
-   | Error r -> Alcotest.failf "post-defrag install: %s" (Targets.Device.reject_to_string r))
+   | Error r -> Alcotest.failf "post-defrag install: %s" (Targets.Resource.reject_to_string r))
 
 (* -- Parser reconfiguration --------------------------------------------------- *)
 
@@ -369,7 +375,7 @@ let test_parser_runtime_ops () =
      Targets.Device.add_parser_rule dev (parser_rule "parse_gre" [ "ethernet"; "gre" ])
    with
    | Ok () -> ()
-   | Error r -> Alcotest.failf "add rule: %s" (Targets.Device.reject_to_string r));
+   | Error r -> Alcotest.failf "add rule: %s" (Targets.Resource.reject_to_string r));
   (* gre header must be declared for the rule to make sense; the std
      headers don't include it, but parser acceptance is name-based *)
   let r2 = Targets.Device.exec dev ~now_us:0L gre_pkt in
@@ -424,6 +430,45 @@ let test_freeze_defers_cleanup () =
     (Targets.Device.map_state dev "cnt" <> None);
   Targets.Device.thaw dev;
   check "map released at thaw" true (Targets.Device.map_state dev "cnt" = None)
+
+let test_rollback_restores_snapshot () =
+  (* every structural op inside a window — install, uninstall,
+     defragment, parser rule — is undone by rollback: the device's
+     snapshot is the one it held before the freeze *)
+  let dev = Targets.Device.create Targets.Arch.rmt in
+  let m = map_decl ~key_arity:1 ~size:16 "cnt" in
+  let counter = block "counter" [ map_incr "cnt" [ const 0 ] ] in
+  let names = [ "t0"; "t1"; "t2" ] in
+  let ctx =
+    program "ctx" ~maps:[ m ] (List.map big_exact_table names @ [ counter ])
+  in
+  List.iteri
+    (fun i n ->
+      ignore (Targets.Device.install dev ~ctx ~order:i (big_exact_table n)))
+    names;
+  ignore (Targets.Device.install dev ~ctx ~order:3 counter);
+  check "hole" true (Targets.Device.uninstall dev "t0");
+  let before = Targets.Device.snapshot dev in
+  Targets.Device.freeze dev;
+  let fresh = small_table "fresh" in
+  (match Targets.Device.install dev ~ctx:(prog_of [ fresh ]) ~order:4 fresh with
+   | Ok _ -> ()
+   | Error r ->
+     Alcotest.failf "install: %s" (Targets.Resource.reject_to_string r));
+  check "uninstall in window" true (Targets.Device.uninstall dev "counter");
+  check "defragment moved" true (Targets.Device.defragment dev > 0);
+  (match
+     Targets.Device.add_parser_rule dev
+       (parser_rule "parse_gre" [ "ethernet"; "gre" ])
+   with
+   | Ok () -> ()
+   | Error r ->
+     Alcotest.failf "add rule: %s" (Targets.Resource.reject_to_string r));
+  check "window changed the snapshot" true
+    (Targets.Resource.diff before (Targets.Device.snapshot dev) <> []);
+  Targets.Device.rollback dev;
+  Alcotest.(check (list string)) "snapshot restored" []
+    (Targets.Resource.diff before (Targets.Device.snapshot dev))
 
 let test_epoch_stamping () =
   let dev = Targets.Device.create Targets.Arch.drmt in
@@ -500,6 +545,8 @@ let () =
           Alcotest.test_case "parser capacity" `Quick test_parser_capacity;
           Alcotest.test_case "freeze/thaw" `Quick test_freeze_thaw_visibility;
           Alcotest.test_case "deferred cleanup" `Quick test_freeze_defers_cleanup;
+          Alcotest.test_case "rollback restores snapshot" `Quick
+            test_rollback_restores_snapshot;
           Alcotest.test_case "epoch stamping" `Quick test_epoch_stamping ] );
       ( "state+energy",
         [ Alcotest.test_case "snapshot conversion" `Quick
