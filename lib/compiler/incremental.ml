@@ -54,6 +54,9 @@ type error =
   | Placement_error of Placement.failure
   | Exec_error of string
 
+let ill_typed es =
+  Patch_error (Fmt.str "%a" Fmt.(list ~sep:(any "; ") Typecheck.pp_error) es)
+
 let pp_error ppf = function
   | Patch_error s -> Fmt.pf ppf "patch: %s" s
   | Placement_error f -> Placement.pp_failure ppf f
@@ -64,32 +67,48 @@ let pp_error ppf = function
     resource snapshots the executor reconciles against. *)
 type planned_change = {
   ch_prog : Ast.program;
-  ch_where : (string * string) list; (* element name -> device id *)
+  ch_where : (string * Targets.Device.t) list;
+    (* element name -> device, sharing the deployment's list where
+       unchanged *)
   ch_snaps : (string * Targets.Resource.snapshot) list;
   ch_report : report;
   ch_candidates : int; (* candidate plans evaluated *)
 }
 
-let path_pos_of_id path id =
-  List.find_index (fun d -> Targets.Device.id d = id) path
+(* Name-keyed lookups in [where], which holds every resident element,
+   compare with [String.equal] rather than the stdlib's polymorphic
+   [List.assoc] (and [List.mem]). [forget_in] copies only the entries
+   before [name]'s. *)
+let rec assoc_name name = function
+  | [] -> None
+  | (n, d) :: rest -> if String.equal n name then Some d else assoc_name name rest
+
+let rec mem_name name = function
+  | [] -> false
+  | n :: rest -> String.equal n name || mem_name name rest
+
+let rec forget_in name = function
+  | [] -> []
+  | ((n, _) as x) :: rest ->
+    if String.equal n name then rest else x :: forget_in name rest
 
 (* Positions of the nearest *placed* pipeline neighbours of the element
-   at pipeline index [idx] of [prog], given placements [where]. [None]
-   means no predecessor (resp. successor) is placed — adjacency is then
-   one-sided; the path boundary is a feasibility limit, not a
-   neighbour. *)
-let adjacency_window ~path ~where (prog : Ast.program) idx =
-  let pos_of name =
-    Option.bind (List.assoc_opt name where) (path_pos_of_id path)
+   at index [idx] of [pipeline] (the program's pipeline as an array),
+   given placements [where]. [None] means no predecessor (resp.
+   successor) is placed — adjacency is then one-sided; the path
+   boundary is a feasibility limit, not a neighbour. *)
+let adjacency_window ~path ~where pipeline idx =
+  let pos_of i =
+    match assoc_name (Ast.element_name pipeline.(i)) where with
+    | Some d -> List.find_index (fun d' -> d' == d) path
+    | None -> None
   in
-  let names = List.map Ast.element_name prog.Ast.pipeline in
-  let arr = Array.of_list names in
-  let n = Array.length arr in
+  let n = Array.length pipeline in
   let rec pred i = if i < 0 then None else
-      match pos_of arr.(i) with Some p -> Some p | None -> pred (i - 1)
+      match pos_of i with Some p -> Some p | None -> pred (i - 1)
   in
   let rec succ i = if i >= n then None else
-      match pos_of arr.(i) with Some p -> Some p | None -> succ (i + 1)
+      match pos_of i with Some p -> Some p | None -> succ (i + 1)
   in
   (pred (idx - 1), succ (idx + 1))
 
@@ -135,9 +154,14 @@ let rec rotate r = function
   | x :: tl as l -> if r <= 0 then l else rotate (r - 1) (tl @ [ x ])
 
 (* One candidate plan for a patch, exploring preference lists rotated
-   by [rotation]. Pure: threads snapshots and a name->id map. *)
-let plan_once ~prefer_adjacent ~rotation ~path ~where:where0 ~old_prog
-    ~new_prog ~(diff : Patch.diff) plan_name =
+   by [rotation]. Pure: threads snapshots and a name->device map. Sets
+   [branched] when some placement decision placed its element with
+   more than one candidate device to choose from; when none did, every
+   rotation makes the same plan, or fails at the same decision (a
+   decision that fails has rejected every candidate, in whatever
+   order). *)
+let plan_once ~prefer_adjacent ~rotation ~branched ~path ~where:where0
+    ~old_prog ~new_prog ~(diff : Patch.diff) plan_name =
   let snaps0 = Placement.default_snaps path in
   let snaps = ref snaps0 in
   let where = ref where0 in
@@ -149,15 +173,20 @@ let plan_once ~prefer_adjacent ~rotation ~path ~where:where0 ~old_prog
     | Some (_slot, s') -> set_snap id s'
     | None -> ()
   in
-  let forget name = where := List.filter (fun (n, _) -> n <> name) !where in
+  let forget name = where := forget_in name !where in
+  let pipeline = lazy (Array.of_list new_prog.Ast.pipeline) in
   let install_in_window prog idx element =
     let u_class, u_cycles = Lowering.classify element in
     let u =
       { Lowering.u_element = element; u_index = idx; u_ctx = prog; u_class;
         u_cycles }
     in
-    let window = adjacency_window ~path ~where:!where prog idx in
-    let cands = rotate rotation (window_candidates ~prefer_adjacent path window u) in
+    let window =
+      adjacency_window ~path ~where:!where (Lazy.force pipeline) idx
+    in
+    let cands = window_candidates ~prefer_adjacent path window u in
+    let several = match cands with _ :: _ :: _ -> true | _ -> false in
+    let cands = rotate rotation cands in
     let rec attempt tried = function
       | [] -> Error { Placement.failed_unit = u; attempts = List.rev tried }
       | dev :: rest ->
@@ -167,8 +196,9 @@ let plan_once ~prefer_adjacent ~rotation ~path ~where:where0 ~old_prog
              element
          with
          | Ok (_slot, s') ->
+           if several then branched := true;
            set_snap id s';
-           where := (Ast.element_name element, id) :: !where;
+           where := (Ast.element_name element, dev) :: !where;
            Ok id
          | Error reject -> attempt ((id, reject) :: tried) rest)
     in
@@ -178,8 +208,9 @@ let plan_once ~prefer_adjacent ~rotation ~path ~where:where0 ~old_prog
   (* 1. removals *)
   List.iter
     (fun name ->
-      match List.assoc_opt name !where with
-      | Some id ->
+      match assoc_name name !where with
+      | Some dev ->
+        let id = Targets.Device.id dev in
         release id name;
         forget name;
         emit (Plan.Remove { device = id; element_name = name })
@@ -190,9 +221,10 @@ let plan_once ~prefer_adjacent ~rotation ~path ~where:where0 ~old_prog
   List.iter
     (fun name ->
       if !fail = None then
-        match List.assoc_opt name !where with
+        match assoc_name name !where with
         | None -> ()
-        | Some old_id ->
+        | Some old_dev ->
+          let old_id = Targets.Device.id old_dev in
           let element = Option.get (Ast.find_element new_prog name) in
           let idx =
             Option.get
@@ -219,7 +251,7 @@ let plan_once ~prefer_adjacent ~rotation ~path ~where:where0 ~old_prog
   List.iteri
     (fun idx el ->
       let name = Ast.element_name el in
-      if !fail = None && List.mem name diff.Patch.added then
+      if !fail = None && mem_name name diff.Patch.added then
         match install_in_window new_prog idx el with
         | Ok id ->
           emit
@@ -234,7 +266,10 @@ let plan_once ~prefer_adjacent ~rotation ~path ~where:where0 ~old_prog
        the rule change is effective (absent/present), which is exactly
        what the device itself will do. *)
     (if diff.Patch.parser_changed then begin
-       let hosts = List.sort_uniq compare (List.map snd !where) in
+       let hosts =
+         List.sort_uniq compare
+           (List.map (fun (_, d) -> Targets.Device.id d) !where)
+       in
        let removed =
          List.filter
            (fun r ->
@@ -297,22 +332,23 @@ let plan_once ~prefer_adjacent ~rotation ~path ~where:where0 ~old_prog
 let plan_patch ?(candidates = 3) ?(prefer_adjacent = true) dep patch =
   match Patch.apply patch dep.dep_prog with
   | Error (`Patch e) -> Error (Patch_error (Fmt.str "%a" Patch.pp_error e))
-  | Error (`Ill_typed es) ->
-    Error
-      (Patch_error
-         (Fmt.str "%a" Fmt.(list ~sep:(any "; ") Typecheck.pp_error) es))
+  | Error (`Ill_typed es) -> Error (ill_typed es)
   | Ok (new_prog, diff) ->
     let path = dep.dep_placement.Placement.path in
-    let where0 =
-      List.map
-        (fun (n, d) -> (n, Targets.Device.id d))
-        dep.dep_placement.Placement.where
-    in
+    let where0 = dep.dep_placement.Placement.where in
     let k = max 1 candidates in
+    let branched = ref false in
+    let attempt rotation =
+      plan_once ~prefer_adjacent ~rotation ~branched ~path ~where:where0
+        ~old_prog:dep.dep_prog ~new_prog ~diff patch.Patch.patch_name
+    in
+    let first = attempt 0 in
+    (* without a branching decision the other rotations would repeat
+       rotation 0's plan (or failure) exactly: count them, do not
+       rebuild them *)
     let attempts =
-      List.init k (fun rotation ->
-          plan_once ~prefer_adjacent ~rotation ~path ~where:where0
-            ~old_prog:dep.dep_prog ~new_prog ~diff patch.Patch.patch_name)
+      if !branched then first :: List.init (k - 1) (fun r -> attempt (r + 1))
+      else List.init k (fun _ -> first)
     in
     let oks = List.filter_map Result.to_option attempts in
     (match oks with
@@ -339,64 +375,73 @@ let plan_patch ?(candidates = 3) ?(prefer_adjacent = true) dep patch =
     disruption, not just a bigger plan). Pure — on failure no device
     has changed, so there is nothing to restore. *)
 let plan_full_recompile dep new_prog =
-  let path = dep.dep_placement.Placement.path in
-  let snaps0 = Placement.default_snaps path in
-  let old_where =
-    List.map
-      (fun (n, d) -> (n, Targets.Device.id d))
-      dep.dep_placement.Placement.where
-  in
-  let released =
-    List.fold_left
-      (fun snaps (name, id) ->
-        match List.assoc_opt id snaps with
-        | None -> snaps
-        | Some s ->
-          (match Targets.Resource.release s name with
-           | Some (_slot, s') -> (id, s') :: List.remove_assoc id snaps
-           | None -> snaps))
-      snaps0 old_where
-  in
-  let rm_ops =
-    List.map
-      (fun (name, id) -> Plan.Remove { device = id; element_name = name })
-      old_where
-  in
-  match
-    Placement.plan_on ~plan_name:"full-recompile" ~snaps:released ~path
-      new_prog
-  with
-  | Error f -> Error (Placement_error f)
-  | Ok pl ->
-    let plan =
-      Plan.v ~residency:pl.Placement.pln_plan.Plan.residency "full-recompile"
-        (rm_ops @ pl.Placement.pln_plan.Plan.ops)
+  match Patch.check_base new_prog with
+  | Error es -> Error (ill_typed es)
+  | Ok () ->
+    let path = dep.dep_placement.Placement.path in
+    let snaps0 = Placement.default_snaps path in
+    let old_where =
+      List.map
+        (fun (n, d) -> (n, Targets.Device.id d))
+        dep.dep_placement.Placement.where
     in
-    let touched =
-      List.sort_uniq compare
-        (List.map snd old_where @ List.map snd pl.Placement.pln_where)
+    let released =
+      List.fold_left
+        (fun snaps (name, id) ->
+          match List.assoc_opt id snaps with
+          | None -> snaps
+          | Some s ->
+            (match Targets.Resource.release s name with
+             | Some (_slot, s') -> (id, s') :: List.remove_assoc id snaps
+             | None -> snaps))
+        snaps0 old_where
     in
-    let times_of = times_of_path path in
-    let reflash dev_id =
-      let times = times_of dev_id in
-      times.Targets.Arch.drain_time +. times.Targets.Arch.t_full_reflash
+    let rm_ops =
+      List.map
+        (fun (name, id) -> Plan.Remove { device = id; element_name = name })
+        old_where
     in
-    let duration = List.fold_left (fun acc d -> Float.max acc (reflash d)) 0. touched in
-    let total_work = List.fold_left (fun acc d -> acc +. reflash d) 0. touched in
-    let deltas =
-      Placement.snapshot_deltas ~before:snaps0 ~after:pl.Placement.pln_snaps plan
-    in
-    let report =
-      { plan;
-        moved_elements = List.length old_where + List.length pl.Placement.pln_where;
-        touched_devices = touched;
-        duration;
-        total_work;
-        cost = { Plan.c_total_work = total_work; c_duration = duration; c_deltas = deltas } }
-    in
-    Ok
-      { ch_prog = new_prog;
-        ch_where = pl.Placement.pln_where;
-        ch_snaps = pl.Placement.pln_snaps;
-        ch_report = report;
-        ch_candidates = 1 }
+    match
+      Placement.plan_on ~plan_name:"full-recompile" ~snaps:released ~path
+        new_prog
+    with
+    | Error f -> Error (Placement_error f)
+    | Ok pl ->
+      let plan =
+        Plan.v ~residency:pl.Placement.pln_plan.Plan.residency "full-recompile"
+          (rm_ops @ pl.Placement.pln_plan.Plan.ops)
+      in
+      let touched =
+        List.sort_uniq compare
+          (List.map snd old_where @ List.map snd pl.Placement.pln_where)
+      in
+      let times_of = times_of_path path in
+      let reflash dev_id =
+        let times = times_of dev_id in
+        times.Targets.Arch.drain_time +. times.Targets.Arch.t_full_reflash
+      in
+      let duration = List.fold_left (fun acc d -> Float.max acc (reflash d)) 0. touched in
+      let total_work = List.fold_left (fun acc d -> acc +. reflash d) 0. touched in
+      let deltas =
+        Placement.snapshot_deltas ~before:snaps0 ~after:pl.Placement.pln_snaps plan
+      in
+      let report =
+        { plan;
+          moved_elements = List.length old_where + List.length pl.Placement.pln_where;
+          touched_devices = touched;
+          duration;
+          total_work;
+          cost = { Plan.c_total_work = total_work; c_duration = duration; c_deltas = deltas } }
+      in
+      Ok
+        { ch_prog = new_prog;
+          ch_where =
+            List.filter_map
+              (fun (n, id) ->
+                Option.map
+                  (fun d -> (n, d))
+                  (List.find_opt (fun d -> Targets.Device.id d = id) path))
+              pl.Placement.pln_where;
+          ch_snaps = pl.Placement.pln_snaps;
+          ch_report = report;
+          ch_candidates = 1 }

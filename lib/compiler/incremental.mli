@@ -13,6 +13,11 @@
     [Runtime.Reconfig] executes the winning plan and commits the new
     program/placement on success. *)
 
+(** A live deployment. Invariant: [dep_prog] is well typed.
+    [Runtime.Reconfig.deploy], the only constructor, checks the whole
+    program once; every later program comes out of [Flexbpf.Patch.apply]
+    (delta-checked) or [plan_full_recompile] (checked whole), so
+    [plan_patch] never re-checks what a patch did not change. *)
 type deployment = {
   mutable dep_prog : Flexbpf.Ast.program;
   mutable dep_placement : Placement.t;
@@ -39,7 +44,9 @@ val pp_error : Format.formatter -> error -> unit
     the executor reconciles against. *)
 type planned_change = {
   ch_prog : Flexbpf.Ast.program;
-  ch_where : (string * string) list; (* element name -> device id *)
+  ch_where : (string * Targets.Device.t) list;
+      (* element name -> device; shares the deployment's placement list
+         where the change leaves it alone *)
   ch_snaps : (string * Targets.Resource.snapshot) list;
   ch_report : report;
   ch_candidates : int; (* candidate plans evaluated *)
@@ -58,6 +65,7 @@ val plan_patch :
 
 (** Plan the compile-time baseline: remove everything, re-place the new
     program from scratch; the cost model is drain + full reflash on
-    every touched device. Pure. *)
+    every touched device. Pure. An ill-typed [new_prog] is a
+    [Patch_error]. *)
 val plan_full_recompile :
   deployment -> Flexbpf.Ast.program -> (planned_change, error) result

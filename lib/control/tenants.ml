@@ -8,10 +8,12 @@
     plane, as well as infrastructure program changes to accommodate the
     new extensions. Departures achieve opposite effects."
 
-    Admission certifies bounded execution, then runs
+    Admission takes the program's certification verdict (bounded
+    execution, computed once by the caller), then runs
     [Compose.arrival] (namespace, access control, VLAN guard) with the
-    next free VLAN and live-patches the deployment; departure runs
-    [Compose.departure]. No other code builds tenant patches. *)
+    next free VLAN and live-patches the deployment; departure applies
+    [Compose.departure] of the recorded arrival patch. No other code
+    builds tenant patches. *)
 
 open Flexbpf
 
@@ -28,6 +30,7 @@ type tenant = {
   shard_affinity : int option;
       (* [Some s]: every instance of this tenant's maps must live in
          shard [s]; [None]: replicate freely *)
+  departure : Patch.t; (* the inverse of the arrival patch *)
 }
 
 type t = {
@@ -117,10 +120,11 @@ let pp_admission_error ppf = function
       vs
   | Compilation e -> Fmt.pf ppf "compilation: %a" Compiler.Incremental.pp_error e
 
-(** Admit a tenant extension program. On success the network has been
+(** Admit a tenant extension program whose certification verdict is
+    [cert] (not recomputed here). On success the network has been
     live-patched and the tenant is registered. [attrs] carries extra
     span attributes (the market path tags bid/price context). *)
-let admit ?(attrs = []) t (ext : Ast.program) =
+let admit ?(attrs = []) t ~cert (ext : Ast.program) =
   let tenant_name = ext.Ast.owner in
   let scope = Netsim.Sim.obs t.sim in
   let t0 = t.clock () in
@@ -134,7 +138,7 @@ let admit ?(attrs = []) t (ext : Ast.program) =
             Error Already_present
           end
           else
-            match Analysis.certify ext with
+            match cert with
             | Error r ->
               t.rejected <- t.rejected + 1;
               Error (Certification r)
@@ -165,7 +169,8 @@ let admit ?(attrs = []) t (ext : Ast.program) =
                         diagnostics = cert.Analysis.cert_warnings;
                         parallel = cert.Analysis.cert_parallel;
                         static_cost = cert.Analysis.cert_cost;
-                        shard_affinity = affinity }
+                        shard_affinity = affinity;
+                        departure = Compose.departure patch }
                     in
                     let verdict =
                       Dataflow.Shard_safety.class_to_string
@@ -193,8 +198,9 @@ let admit ?(attrs = []) t (ext : Ast.program) =
   count t (if Result.is_ok result then "tenants.admitted" else "tenants.rejected");
   result
 
-(** Tenant departure: remove every element, map, and parser rule the
-    tenant owns, releasing the resources. *)
+(** Tenant departure: apply the inverse of the tenant's arrival patch,
+    removing every element, map, and parser rule it added and releasing
+    the resources. *)
 type departure_error = Unknown_tenant | Departure_failed of string
 
 let pp_departure_error ppf = function
@@ -205,10 +211,6 @@ let depart ?(reason = `Voluntary) t tenant_name =
   match find t tenant_name with
   | None -> Error Unknown_tenant
   | Some tenant ->
-    let patch =
-      Compose.departure ~owner:tenant_name
-        t.deployment.Compiler.Incremental.dep_prog
-    in
     let scope = Netsim.Sim.obs t.sim in
     let reason_str =
       match reason with `Voluntary -> "voluntary" | `Preempted -> "preempted"
@@ -218,7 +220,9 @@ let depart ?(reason = `Voluntary) t tenant_name =
         [ ("tenant", Obs.Trace.S tenant_name);
           ("reason", Obs.Trace.S reason_str) ]
       (fun span ->
-        match Runtime.Reconfig.apply_patch ~obs:scope t.deployment patch with
+        match
+          Runtime.Reconfig.apply_patch ~obs:scope t.deployment tenant.departure
+        with
         | Error e ->
           Obs.Trace.add_attr span "ok" (Obs.Trace.B false);
           Error

@@ -3,11 +3,11 @@
     Tenants provide extension programs that are dynamically injected
     into and removed from the network, admitted after access-control
     validation and isolated via VLANs. There is one composition path:
-    {!admit} certifies bounded execution, then live-patches the
+    {!admit} takes the program's certificate, then live-patches the
     deployment with {!Flexbpf.Compose.arrival} (namespace, access
     control, guard with the next free VLAN); {!depart} applies
-    {!Flexbpf.Compose.departure}, which removes everything the tenant
-    owns. Policy tenants lower their term with
+    {!Flexbpf.Compose.departure} of that arrival patch, which removes
+    everything the tenant added. Policy tenants lower their term with
     [Policy.Compile.lower_block ~overlay:true] and are admitted like any
     other program. *)
 
@@ -24,6 +24,8 @@ type tenant = {
   shard_affinity : int option;
       (* [Some s]: every instance of this tenant's maps must live in
          shard [s]; [None]: replicate freely *)
+  departure : Flexbpf.Patch.t;
+      (* [Compose.departure] of the arrival patch: what [depart] applies *)
 }
 
 type t = {
@@ -81,20 +83,27 @@ type admission_error =
 
 val pp_admission_error : Format.formatter -> admission_error -> unit
 
-(** Admit a tenant extension program (owner = the tenant name). On
-    success the network has been live-patched and the tenant is
-    registered. [attrs] are recorded on the [tenant.admit] span after
-    the tenant name; the market records the winning bid's value,
-    density, and quoted unit price there. *)
+(** Admit a tenant extension program (owner = the tenant name). [cert]
+    is the program's {!Flexbpf.Analysis.certify} verdict, computed once
+    by the caller (the market keeps it on [Market.Tenant.t]); admission
+    records it and does not certify again. An [Error] verdict is
+    rejected as [Certification], with the same outcome counters as any
+    rejection. On success the network has been live-patched and the
+    tenant is registered. [attrs] are recorded on the [tenant.admit]
+    span after the tenant name; the market records the winning bid's
+    value, density, and quoted unit price there. *)
 val admit :
-  ?attrs:(string * Obs.Trace.value) list -> t -> Flexbpf.Ast.program ->
+  ?attrs:(string * Obs.Trace.value) list -> t ->
+  cert:(Flexbpf.Analysis.certificate, Flexbpf.Analysis.rejection) result ->
+  Flexbpf.Ast.program ->
   (tenant * Compiler.Incremental.report, admission_error) result
 
 type departure_error = Unknown_tenant | Departure_failed of string
 
 val pp_departure_error : Format.formatter -> departure_error -> unit
 
-(** Remove every element, map, and parser rule the tenant owns.
+(** Remove every element, map, and parser rule the tenant's arrival
+    added, by applying its recorded [departure] patch.
     [~reason:`Preempted] marks a market eviction: the departure span is
     tagged and the [Preempted] outcome recorded; the removal path is
     identical (same patch, same rollback guarantees). *)

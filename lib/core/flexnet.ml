@@ -150,8 +150,11 @@ let tenants_exn t =
   | Some x -> x
   | None -> invalid_arg "Flexnet: call deploy_infrastructure first"
 
-(** Admit a tenant extension program (live injection). *)
-let add_tenant t ext = Control.Tenants.admit (tenants_exn t) ext
+(** Admit a tenant extension program (live injection): certify it, then
+    admit it with that certificate. *)
+let add_tenant t ext =
+  Control.Tenants.admit (tenants_exn t) ~cert:(Flexbpf.Analysis.certify ext)
+    ext
 
 (** Tenant departure (live removal + resource release). *)
 let remove_tenant t name = Control.Tenants.depart (tenants_exn t) name

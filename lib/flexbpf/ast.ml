@@ -108,6 +108,48 @@ type rule = {
   rule_args : int64 list;
 }
 
+(* Map names an element accesses, folded in pre-order: an access's map
+   before the maps its key and value expressions access. Explicit
+   recursion, so a walk allocates nothing beyond what [f] does. *)
+let rec fold_expr_maps f acc = function
+  | Map_get (m, keys) -> fold_exprs_maps f (f acc m) keys
+  | Bin (_, a, b) -> fold_expr_maps f (fold_expr_maps f acc a) b
+  | Un (_, e) -> fold_expr_maps f acc e
+  | Hash (_, es) -> fold_exprs_maps f acc es
+  | Const _ | Field _ | Meta _ | Param _ | Time -> acc
+
+and fold_exprs_maps f acc = function
+  | [] -> acc
+  | e :: rest -> fold_exprs_maps f (fold_expr_maps f acc e) rest
+
+let rec fold_stmt_maps f acc = function
+  | Map_put (m, keys, v) | Map_incr (m, keys, v) ->
+    fold_expr_maps f (fold_exprs_maps f (f acc m) keys) v
+  | Map_del (m, keys) -> fold_exprs_maps f (f acc m) keys
+  | If (c, th, el) ->
+    fold_stmts_maps f (fold_stmts_maps f (fold_expr_maps f acc c) th) el
+  | Loop (_, body) -> fold_stmts_maps f acc body
+  | Set_field (_, _, e) | Set_meta (_, e) | Forward e -> fold_expr_maps f acc e
+  | Call (_, args) -> fold_exprs_maps f acc args
+  | Nop | Drop | Punt _ | Push_header _ | Pop_header _ -> acc
+
+and fold_stmts_maps f acc = function
+  | [] -> acc
+  | s :: rest -> fold_stmts_maps f (fold_stmt_maps f acc s) rest
+
+let fold_element_maps f acc = function
+  | Table t ->
+    let rec keys acc = function
+      | [] -> acc
+      | (e, _) :: rest -> keys (fold_expr_maps f acc e) rest
+    in
+    let rec actions acc = function
+      | [] -> acc
+      | a :: rest -> actions (fold_stmts_maps f acc a.body) rest
+    in
+    actions (keys acc t.keys) t.tbl_actions
+  | Block b -> fold_stmts_maps f acc b.blk_body
+
 let find_element prog name =
   List.find_opt (fun e -> element_name e = name) prog.pipeline
 

@@ -107,6 +107,11 @@ type rule = {
   rule_args : int64 list;
 }
 
+(** Fold over the names of the maps an element accesses, in pre-order
+    (an access's map before the maps its expressions access), repeats
+    included. *)
+val fold_element_maps : ('a -> string -> 'a) -> 'a -> element -> 'a
+
 val find_element : program -> string -> element option
 val find_table : program -> string -> table option
 val find_map : program -> string -> map_decl option

@@ -1033,23 +1033,61 @@ type t = {
   c_pipeline : celement array;
 }
 
-let compile (env : Interp.env) (prog : program) : t =
+(* The index of the first element of [olds] (the tail of a previous
+   pipeline starting at index [i]) physically equal to [el]; -1 when
+   there is none. *)
+let rec index_from el olds i =
+  match olds with
+  | [] -> -1
+  | e :: rest -> if e == el then i else index_from el rest (i + 1)
+
+let rec drop k l =
+  match l with _ :: rest when k > 0 -> drop (k - 1) rest | _ -> l
+
+let no_element = C_block (fun _ _ _ -> ())
+
+let compile ?prev (env : Interp.env) (prog : program) : t =
   let ctx =
     { cenv = env; cparams = []; cloop = None; chslots = []; charr = [||] }
   in
+  let fresh = function
+    | Table tbl -> C_table (compile_table env tbl)
+    | Block b -> C_block (compile_stmts ctx b.blk_body)
+  in
+  let pipeline = Array.make (List.length prog.pipeline) no_element in
+  (match prev with
+   | Some p when p.c_env == env ->
+     (* Compiled code depends only on the element and the environment,
+        so an element physically unchanged since [p] keeps its
+        closures. Both pipelines are walked in step: a cursor into
+        [p]'s pipeline advances past each reused element, and an
+        element not found after the cursor is compiled fresh. A reused
+        table gets a fresh record with an unbuilt index, so its rule
+        index and device tier are rebuilt exactly as a fresh compile's
+        would be. *)
+     let olds = ref p.c_prog.pipeline and next = ref 0 in
+     List.iteri
+       (fun j el ->
+         let i = index_from el !olds !next in
+         pipeline.(j) <-
+           (if i < 0 then fresh el
+            else begin
+              olds := drop (i - !next + 1) !olds;
+              next := i + 1;
+              match p.c_pipeline.(i) with
+              | C_table ct ->
+                C_table { ct with ct_index = Scan [||]; ct_gen = -1 }
+              | C_block _ as c -> c
+            end))
+       prog.pipeline
+   | _ -> List.iteri (fun j el -> pipeline.(j) <- fresh el) prog.pipeline);
   { c_prog = prog;
     c_env = env;
     c_parser = compile_parser prog;
     c_accept = ccnt "parser.accept";
     c_reject = ccnt "parser.reject";
     c_error = ccnt "runtime.error";
-    c_pipeline =
-      Array.of_list
-        (List.map
-           (function
-             | Table tbl -> C_table (compile_table env tbl)
-             | Block b -> C_block (compile_stmts ctx b.blk_body))
-           prog.pipeline) }
+    c_pipeline = pipeline }
 
 let program t = t.c_prog
 let env t = t.c_env

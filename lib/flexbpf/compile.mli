@@ -33,8 +33,15 @@ type t
 
 (** Stage [prog] against [env]. Compilation is total: programs the
     interpreter can run (including ones that fault at run time) compile;
-    faults surface at execution, matching the interpreter. *)
-val compile : Interp.env -> Ast.program -> t
+    faults surface at execution, matching the interpreter.
+
+    With [prev] compiled against the same [env] (a recompile after a
+    reconfiguration), every element physically unchanged since [prev]
+    reuses its compiled code, so the cost follows what changed. Reused
+    tables start with an unbuilt rule index and an empty device tier,
+    as freshly compiled ones do, so execution and tier telemetry are
+    those of a fresh compile. *)
+val compile : ?prev:t -> Interp.env -> Ast.program -> t
 
 val program : t -> Ast.program
 val env : t -> Interp.env

@@ -4,9 +4,9 @@
     datapath as patches. The arrival patch namespaces every tenant
     element under "tenant/", enforces access-control restrictions (a
     tenant program may not touch infra state or another tenant's
-    state), and VLAN-guards every element; the departure patch removes
-    everything the tenant owns. Logically-sharable code across tenants
-    is reported as an optimization opportunity. *)
+    state), and VLAN-guards every element; the departure patch inverts
+    the arrival patch, removing everything it added. Logically-sharable
+    code across tenants is reported as an optimization opportunity. *)
 
 open Ast
 
@@ -90,29 +90,8 @@ let pp_violation ppf = function
   | Unauthorized_drop el ->
     Fmt.pf ppf "element %s drops traffic outside its VLAN guard" el
 
-let rec expr_maps = function
-  | Map_get (m, keys) -> m :: List.concat_map expr_maps keys
-  | Bin (_, a, b) -> expr_maps a @ expr_maps b
-  | Un (_, e) -> expr_maps e
-  | Hash (_, es) -> List.concat_map expr_maps es
-  | Const _ | Field _ | Meta _ | Param _ | Time -> []
-
-let rec stmt_maps = function
-  | Map_put (m, keys, v) | Map_incr (m, keys, v) ->
-    m :: (List.concat_map expr_maps keys @ expr_maps v)
-  | Map_del (m, keys) -> m :: List.concat_map expr_maps keys
-  | If (c, th, el) ->
-    expr_maps c @ List.concat_map stmt_maps th @ List.concat_map stmt_maps el
-  | Loop (_, body) -> List.concat_map stmt_maps body
-  | Set_field (_, _, e) | Set_meta (_, e) | Forward e -> expr_maps e
-  | Call (_, args) -> List.concat_map expr_maps args
-  | Nop | Drop | Punt _ | Push_header _ | Pop_header _ -> []
-
-let element_maps = function
-  | Table t ->
-    List.concat_map (fun (e, _) -> expr_maps e) t.keys
-    @ List.concat_map (fun a -> List.concat_map stmt_maps a.body) t.tbl_actions
-  | Block b -> List.concat_map stmt_maps b.blk_body
+let element_maps el =
+  List.rev (fold_element_maps (fun acc m -> m :: acc) [] el)
 
 (** Check that a namespaced tenant program only references its own maps. *)
 let check_access (ext : program) =
@@ -182,22 +161,20 @@ let arrival ~vlan ~base (ext : program) =
     in
     Ok (Patch.v ~owner:tenant (tenant ^ "-arrival") ops)
 
-let departure ~owner (prog : program) =
-  let prefix = owner ^ "/" in
-  let owned n = String.starts_with ~prefix n in
+let departure (arrival : Patch.t) =
+  let owner = arrival.Patch.patch_owner in
+  let inverse f = List.filter_map f arrival.Patch.ops in
   let ops =
-    (if List.exists (fun el -> owned (element_name el)) prog.pipeline then
-       [ Patch.Remove_element (Patch.Sel_name (prefix ^ "*")) ]
-     else [])
-    @ List.filter_map
-        (fun (m : map_decl) ->
-          if owned m.map_name then Some (Patch.Remove_map m.map_name) else None)
-        prog.maps
-    @ List.filter_map
-        (fun r ->
-          if owned r.pr_name then Some (Patch.Remove_parser_rule r.pr_name)
-          else None)
-        prog.parser
+    inverse (function
+      | Patch.Add_element (_, el) ->
+        Some (Patch.Remove_element (Patch.Sel_name (element_name el)))
+      | _ -> None)
+    @ inverse (function
+        | Patch.Add_map m -> Some (Patch.Remove_map m.map_name)
+        | _ -> None)
+    @ inverse (function
+        | Patch.Add_parser_rule r -> Some (Patch.Remove_parser_rule r.pr_name)
+        | _ -> None)
   in
   Patch.v ~owner (owner ^ "-departure") ops
 

@@ -3,8 +3,9 @@
     A tenant extension is layered onto the infrastructure datapath as a
     {!Patch.t}: {!arrival} namespaces every element, map and parser rule
     under "tenant/", rejects access to foreign state, and guards every
-    element with the tenant's VLAN; {!departure} removes everything the
-    tenant owns ("departures achieve opposite effects"). Admission
+    element with the tenant's VLAN; {!departure} inverts that arrival
+    patch, removing everything it added ("departures achieve opposite
+    effects"). Admission
     ([Control.Tenants]) and the CLI's dry-run planner both run these
     patches, so what is planned is what is installed. [Patch.apply]
     typechecks the result and rejects duplicate names, so a tenant that
@@ -41,9 +42,11 @@ val guard_element : vlan:int -> Ast.element -> Ast.element
 val arrival :
   vlan:int -> base:Ast.program -> Ast.program -> (Patch.t, violation list) result
 
-(** The departure patch ["<owner>-departure"]: remove every element,
-    map, and parser rule [owner] has in [prog]. *)
-val departure : owner:string -> Ast.program -> Patch.t
+(** The departure patch ["<owner>-departure"]: the inverse of the
+    tenant's {!arrival} patch. Every element, map, and parser rule it
+    added is removed, elements in pipeline order; headers stay. Its
+    size is the arrival's, whatever else the program holds. *)
+val departure : Patch.t -> Patch.t
 
 (** Structurally identical elements installed by different owners,
     compared modulo namespaces and VLAN guards — "logically-sharable

@@ -10,19 +10,26 @@
 
 open Ast
 
-(* Glob matching: '*' matches any substring, '?' any one character. *)
-let glob_matches pattern s =
-  let np = String.length pattern and ns = String.length s in
-  (* memoized recursive matcher; patterns are tiny so plain recursion ok *)
-  let rec go i j =
-    if i = np then j = ns
-    else
-      match pattern.[i] with
-      | '*' -> go (i + 1) j || (j < ns && go i (j + 1))
-      | '?' -> j < ns && go (i + 1) (j + 1)
-      | c -> j < ns && s.[j] = c && go (i + 1) (j + 1)
-  in
-  go 0 0
+(* Glob matching: '*' matches any substring, '?' any one character.
+   Staged on the pattern: [glob_matches p] inspects [p] once, and a
+   pattern without wildcards is plain string equality. *)
+let glob_matches pattern =
+  if not (String.exists (fun c -> c = '*' || c = '?') pattern) then
+    String.equal pattern
+  else
+    let np = String.length pattern in
+    fun s ->
+      let ns = String.length s in
+      (* patterns are tiny, so plain recursion is fine *)
+      let rec go i j =
+        if i = np then j = ns
+        else
+          match pattern.[i] with
+          | '*' -> go (i + 1) j || (j < ns && go i (j + 1))
+          | '?' -> j < ns && go (i + 1) (j + 1)
+          | c -> j < ns && s.[j] = c && go (i + 1) (j + 1)
+      in
+      go 0 0
 
 type selector =
   | Sel_name of string (* glob over element names *)
@@ -30,13 +37,21 @@ type selector =
   | Sel_and of selector * selector
   | Sel_or of selector * selector
 
-let rec selector_matches sel (e : element) =
+(* Staged like [glob_matches]: bind [selector_matches sel] once per
+   scan. *)
+let rec selector_matches sel : element -> bool =
   match sel with
-  | Sel_name pattern -> glob_matches pattern (element_name e)
-  | Sel_kind `Table -> (match e with Table _ -> true | Block _ -> false)
-  | Sel_kind `Block -> (match e with Block _ -> true | Table _ -> false)
-  | Sel_and (a, b) -> selector_matches a e && selector_matches b e
-  | Sel_or (a, b) -> selector_matches a e || selector_matches b e
+  | Sel_name pattern ->
+    let m = glob_matches pattern in
+    fun e -> m (element_name e)
+  | Sel_kind `Table -> (function Table _ -> true | Block _ -> false)
+  | Sel_kind `Block -> (function Block _ -> true | Table _ -> false)
+  | Sel_and (a, b) ->
+    let ma = selector_matches a and mb = selector_matches b in
+    fun e -> ma e && mb e
+  | Sel_or (a, b) ->
+    let ma = selector_matches a and mb = selector_matches b in
+    fun e -> ma e || mb e
 
 let rec pp_selector ppf = function
   | Sel_name p -> Fmt.pf ppf "name(%s)" p
@@ -107,9 +122,10 @@ let pp_error ppf = function
 (* Insert [el] relative to the first element matching the selector. *)
 let insert_at position el pipeline =
   let insert sel ~after =
+    let matches = selector_matches sel in
     let rec go = function
       | [] -> None
-      | e :: rest when selector_matches sel e ->
+      | e :: rest when matches e ->
         Some (if after then e :: el :: rest else el :: e :: rest)
       | e :: rest -> Option.map (fun r -> e :: r) (go rest)
     in
@@ -136,31 +152,29 @@ let apply_op (prog, diff) op =
            merge_diff diff { empty_diff with added = [ name ] }))
         (insert_at position el prog.pipeline)
   | Remove_element sel ->
-    let removed =
-      List.filter (selector_matches sel) prog.pipeline |> List.map element_name
-    in
+    let matches = selector_matches sel in
+    let removed, pipeline = List.partition matches prog.pipeline in
     if removed = [] then Error (Selector_no_match sel)
     else
       Ok
-        ({ prog with
-           pipeline =
-             List.filter (fun e -> not (selector_matches sel e)) prog.pipeline },
-         merge_diff diff { empty_diff with removed })
+        ({ prog with pipeline },
+         merge_diff diff
+           { empty_diff with removed = List.map element_name removed })
   | Replace_element (sel, el) ->
+    let matches = selector_matches sel in
     let modified =
-      List.filter (selector_matches sel) prog.pipeline |> List.map element_name
+      List.filter matches prog.pipeline |> List.map element_name
     in
     if modified = [] then Error (Selector_no_match sel)
     else
       Ok
         ({ prog with
            pipeline =
-             List.map
-               (fun e -> if selector_matches sel e then el else e)
-               prog.pipeline },
+             List.map (fun e -> if matches e then el else e) prog.pipeline },
          merge_diff diff { empty_diff with modified })
   | Set_default (sel, default_action) ->
-    let matched = List.filter (selector_matches sel) prog.pipeline in
+    let matches = selector_matches sel in
+    let matched = List.filter matches prog.pipeline in
     if matched = [] then Error (Selector_no_match sel)
     else if List.exists (function Block _ -> true | Table _ -> false) matched
     then
@@ -175,7 +189,7 @@ let apply_op (prog, diff) op =
              List.map
                (fun e ->
                  match e with
-                 | Table t when selector_matches sel e ->
+                 | Table t when matches e ->
                    Table { t with default_action }
                  | e -> e)
                prog.pipeline },
@@ -214,19 +228,70 @@ let apply_op (prog, diff) op =
     else
       Ok ({ prog with headers = prog.headers @ [ h ] }, diff)
 
-(** Apply all operations in order; the result is type-checked so a patch
-    can never produce an ill-formed program. *)
-let apply patch prog =
+let apply_ops patch prog =
   let rec go acc = function
     | [] -> Ok acc
     | op :: rest ->
-      (match apply_op acc op with
-       | Ok acc -> go acc rest
-       | Error e -> Error (`Patch e))
+      (match apply_op acc op with Ok acc -> go acc rest | Error _ as e -> e)
   in
-  match go (prog, empty_diff) patch.ops with
-  | Error _ as e -> e
+  go (prog, empty_diff) patch.ops
+
+(* The delta check. The base is well typed, and no op can remove a
+   header or change a declaration in place, so only what the patch
+   brings in can fail, plus any element still referencing a removed
+   map. Each op's contribution is checked against the patched program
+   [prog']; items added and then removed again are checked anyway,
+   which can only over-report. [false] means "maybe ill typed": the
+   caller then runs the whole-program check, which decides and reports. *)
+let delta_ok prog' ops =
+  let ok_element el = Typecheck.check_element prog' el = [] in
+  (* a replacement may duplicate a name (a selector matching several
+     elements, or a rename onto an existing one) *)
+  let unique name =
+    let rec count n = function
+      | [] -> n
+      | e :: rest ->
+        count (if String.equal (element_name e) name then n + 1 else n) rest
+    in
+    count 0 prog'.pipeline = 1
+  in
+  let removed_maps =
+    List.filter_map (function Remove_map m -> Some m | _ -> None) ops
+  in
+  let rec removed m = function
+    | [] -> false
+    | r :: rest -> String.equal r m || removed m rest
+  in
+  let uses_removed found m = found || removed m removed_maps in
+  List.for_all
+    (function
+      | Add_element (_, el) -> ok_element el
+      | Replace_element (_, el) -> ok_element el && unique (element_name el)
+      | Set_default (sel, _) ->
+        let matches = selector_matches sel in
+        List.for_all (fun e -> not (matches e) || ok_element e) prog'.pipeline
+      | Add_map m -> Typecheck.check_map_decl m = []
+      | Add_parser_rule r -> Typecheck.check_parser_rule prog' r = []
+      | Add_header h -> Typecheck.check_header h = []
+      | Remove_element _ | Remove_parser_rule _ | Remove_map _ -> true)
+    ops
+  && (removed_maps = []
+      || not
+           (List.exists
+              (fun el -> fold_element_maps uses_removed false el)
+              prog'.pipeline))
+
+let check_base = Typecheck.check_program
+
+(** Apply all operations in order to a well-typed [prog]; the result is
+    type-checked by the delta check, so a patch can never produce an
+    ill-formed program. *)
+let apply patch prog =
+  match apply_ops patch prog with
+  | Error e -> Error (`Patch e)
   | Ok (prog', diff) ->
-    (match Typecheck.check_program prog' with
-     | Ok () -> Ok (prog', diff)
-     | Error errs -> Error (`Ill_typed errs))
+    if delta_ok prog' patch.ops then Ok (prog', diff)
+    else
+      (match check_base prog' with
+       | Ok () -> Ok (prog', diff)
+       | Error errs -> Error (`Ill_typed errs))

@@ -64,8 +64,25 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-(** Apply all operations in order; the result is type-checked, so a
-    patch can never produce an ill-formed program. *)
+(** Apply all operations in order, without any type check. *)
+val apply_ops : t -> Ast.program -> (Ast.program * diff, error) result
+
+(** The whole-program check that makes a program a patch base:
+    [apply]'s precondition, run once when a program becomes a base (a
+    deployment is built by [Runtime.Reconfig.deploy] only after it
+    passes), never once per patch. *)
+val check_base : Ast.program -> (unit, Typecheck.error list) result
+
+(** Apply all operations in order to a {e well-typed} program. The
+    result is type-checked by a delta check: only what the patch adds or
+    replaces is checked against the new program, plus that no remaining
+    element references a removed map, so the cost follows the patch,
+    not the program. When the delta check finds a possible error the
+    whole-program check decides and reports, so on a well-typed base the
+    outcome and the error list are those of [Typecheck.check_program] on
+    the patched program, and a patch can never produce an ill-formed
+    program. On an ill-typed base, errors outside the patch may go
+    unreported. *)
 val apply :
   t -> Ast.program ->
   (Ast.program * diff,

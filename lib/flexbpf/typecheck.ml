@@ -149,22 +149,19 @@ let check_map_decl (m : map_decl) =
   if m.key_arity <= 0 then [ err m.map_name "key arity must be positive" ]
   else []
 
+let check_header h =
+  duplicates (List.map fst h.hdr_fields)
+  |> List.map (fun d -> err h.hdr_name "duplicate field %s" d)
+
 (** Check a whole program. Returns all errors rather than failing fast so
     callers can report everything at once. *)
 let check_program prog =
   let dup ns what =
     duplicates ns |> List.map (fun d -> err prog.prog_name "duplicate %s %s" what d)
   in
-  let dup_fields =
-    List.concat_map
-      (fun h ->
-        duplicates (List.map fst h.hdr_fields)
-        |> List.map (fun d -> err h.hdr_name "duplicate field %s" d))
-      prog.headers
-  in
   let errors =
     dup (List.map (fun h -> h.hdr_name) prog.headers) "header"
-    @ dup_fields
+    @ List.concat_map check_header prog.headers
     @ dup (List.map (fun (m : map_decl) -> m.map_name) prog.maps) "map"
     @ dup (List.map element_name prog.pipeline) "element"
     @ dup (List.map (fun r -> r.pr_name) prog.parser) "parser rule"

@@ -282,7 +282,8 @@ let clear t =
         | Error _ -> false
       in
       let admit mt cost (bid : Tenant.bid) =
-        Control.Tenants.admit t.au_tenants mt.Tenant.mt_program
+        Control.Tenants.admit t.au_tenants ~cert:(Ok mt.Tenant.mt_cert)
+          mt.Tenant.mt_program
           ~attrs:
             [ ("bid", Obs.Trace.F bid.Tenant.bid_value);
               ("density", Obs.Trace.F bid.Tenant.bid_density);

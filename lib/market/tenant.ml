@@ -15,6 +15,7 @@ type t = {
   mt_max_replicas : int;
   mt_footprint : Targets.Resource.t;
   mt_program : Flexbpf.Ast.program;
+  mt_cert : Flexbpf.Analysis.certificate;
 }
 
 (* The floor rent of a footprint: what one replica costs per round
@@ -51,7 +52,7 @@ let create ?(sla = Best_effort) ?(budget = 10.) ?(weight = 1.)
         mt_budget = budget *. par;
         mt_weight = weight *. par /. log 2.;
         mt_max_replicas = max_replicas; mt_footprint = footprint;
-        mt_program = prog }
+        mt_program = prog; mt_cert = cert }
 
 let utility t q = t.mt_weight *. log (1. +. float_of_int (max 0 q))
 let marginal_utility t q = utility t (q + 1) -. utility t q

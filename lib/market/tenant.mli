@@ -19,6 +19,8 @@ type t = {
   mt_max_replicas : int;
   mt_footprint : Targets.Resource.t; (* certified per-replica demand *)
   mt_program : Flexbpf.Ast.program;
+  mt_cert : Flexbpf.Analysis.certificate;
+      (* the program's certificate: admission takes it as is *)
 }
 
 (** The cost of one replica of [footprint] per round when every price

@@ -79,7 +79,8 @@ let apply_op devices op =
     Result.bind (dev device) (fun d ->
         let name = Ast.element_name element in
         let carried =
-          if List.mem name (Targets.Device.installed_names d) then begin
+          if Targets.Resource.find_placed (Targets.Device.snapshot d) name <> None
+          then begin
             let c = snapshot_maps d element in
             ignore (Targets.Device.uninstall d name);
             c
@@ -448,6 +449,13 @@ let unplace ?obs (p : Compiler.Placement.t) =
 
 (** Deploy a program fresh onto a path. *)
 let deploy ?obs ~path prog =
+  (match Flexbpf.Patch.check_base prog with
+   | Ok () -> ()
+   | Error errs ->
+     invalid_arg
+       (Fmt.str "Reconfig.deploy: ill-typed program: %a"
+          Fmt.(list ~sep:(any "; ") Flexbpf.Typecheck.pp_error)
+          errs));
   Result.map
     (fun placement ->
       { Compiler.Incremental.dep_prog = prog; dep_placement = placement })
@@ -457,12 +465,8 @@ let deploy ?obs ~path prog =
     element placement. *)
 let commit_deployment (dep : Compiler.Incremental.deployment)
     (pc : Compiler.Incremental.planned_change) =
-  let path = dep.dep_placement.Compiler.Placement.path in
   dep.dep_prog <- pc.Compiler.Incremental.ch_prog;
-  dep.dep_placement.Compiler.Placement.where <-
-    List.filter_map
-      (fun (n, id) -> Option.map (fun d -> (n, d)) (find_device path id))
-      pc.Compiler.Incremental.ch_where
+  dep.dep_placement.Compiler.Placement.where <- pc.Compiler.Incremental.ch_where
 
 (** Plan a patch ([Compiler.Incremental.plan_patch], with candidate
     search), execute the winning plan, reconcile against the predicted

@@ -81,7 +81,12 @@ val place :
 val unplace : ?obs:Obs.Scope.t -> Compiler.Placement.t -> unit
 
 (** Deploy a program fresh onto a path. With [obs], the whole operation
-    runs under a "reconfig.deploy" span. *)
+    runs under a "reconfig.deploy" span. This is the only constructor
+    of a deployment, and it type-checks the whole program once
+    ({!Flexbpf.Patch.check_base}) before placing it: a deployment's
+    program is always well typed, which is what lets every later patch
+    be checked by its delta alone.
+    @raise Invalid_argument on an ill-typed program. *)
 val deploy :
   ?obs:Obs.Scope.t -> path:Targets.Device.t list -> Flexbpf.Ast.program ->
   (Compiler.Incremental.deployment, Compiler.Placement.failure) result

@@ -23,7 +23,9 @@ type t = {
   mutable map_decls : Ast.map_decl list;
   env : Interp.env;
   mutable cached_program : Ast.program option;
-  mutable compiled : Compile.t option; (* staged fast path for the live program *)
+  mutable compiled : Compile.t option;
+    (* staged fast path of the live program, or of an earlier one: the
+       seed of the next recompile *)
   mutable compiled_frozen : Compile.t option; (* fast path for the frozen program *)
   mutable powered_on : bool;
   mutable processed : int;
@@ -150,7 +152,6 @@ let rebuild_program t =
       parser = t.parser; maps = t.map_decls; pipeline }
   in
   t.cached_program <- Some prog;
-  t.compiled <- None; (* program changed: next exec stages the new one *)
   t.version <- t.version + 1;
   match t.obs_scope with
   | None -> ()
@@ -168,12 +169,14 @@ let program t =
   | Some p -> p
   | None -> rebuild_program t; Option.get t.cached_program
 
-(** The staged fast path of the live program, compiling on demand. *)
+(** The staged fast path of the live program, compiling on demand. A
+    stale [compiled] (the program changed since) seeds the recompile,
+    so only the changed elements are compiled again. *)
 let compiled_program t =
   match t.compiled with
   | Some c when Compile.program c == program t -> c
-  | _ ->
-    let c = Compile.compile t.env (program t) in
+  | prev ->
+    let c = Compile.compile ?prev t.env (program t) in
     t.compiled <- Some c;
     c
 
@@ -205,7 +208,7 @@ let instantiate_maps t ~(before : Resource.snapshot) (ctx : Ast.program)
   Compose.element_maps element
   |> List.sort_uniq compare
   |> List.iter (fun name ->
-         if not (List.mem_assoc name before.map_refs) then
+         if Resource.map_ref before name = None then
            Option.iter
              (fun (decl : Ast.map_decl) ->
                let enc =
@@ -262,7 +265,7 @@ let finalize t =
   let occ = Resource.finalize t.occ in
   List.iter
     (fun name ->
-      if not (List.mem_assoc name occ.map_refs) then begin
+      if Resource.map_ref occ name = None then begin
         Interp.remove_env_map t.env name;
         t.map_decls <-
           List.filter (fun (m : Ast.map_decl) -> m.map_name <> name)

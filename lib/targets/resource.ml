@@ -170,7 +170,20 @@ let snap_tile_capacity snap kind =
   | Sh_tiled { tiles; _ } -> Option.value (List.assoc_opt kind tiles) ~default:0
   | _ -> 0
 
-let map_ref snap name = List.assoc_opt name snap.map_refs
+(* Name-keyed association lists compared with [String.equal]: the
+   stdlib's polymorphic [List.assoc] pays a [compare] call per entry,
+   and [map_refs] holds every resident tenant's maps. *)
+let rec assoc_name name = function
+  | [] -> None
+  | (k, v) :: rest ->
+    if String.equal k name then Some v else assoc_name name rest
+
+let rec remove_name name = function
+  | [] -> []
+  | ((k, _) as x) :: rest ->
+    if String.equal k name then rest else x :: remove_name name rest
+
+let map_ref snap name = assoc_name name snap.map_refs
 
 let find_placed snap name =
   List.find_opt (fun p -> p.pl_name = name) snap.placed
@@ -412,7 +425,8 @@ let admit snap ~(ctx : Ast.program) ~order element =
     | Ok (slot, demand, residency) ->
       let missing_rules =
         List.filter
-          (fun r -> not (List.mem r.Ast.pr_name snap.parser_rules))
+          (fun r ->
+            not (List.exists (String.equal r.Ast.pr_name) snap.parser_rules))
           ctx.Ast.parser
       in
       if
@@ -426,8 +440,8 @@ let admit snap ~(ctx : Ast.program) ~order element =
           |> List.sort_uniq compare
           |> List.fold_left
                (fun refs mname ->
-                 match List.assoc_opt mname refs with
-                 | Some n -> (mname, n + 1) :: List.remove_assoc mname refs
+                 match assoc_name mname refs with
+                 | Some n -> (mname, n + 1) :: remove_name mname refs
                  | None ->
                    if Ast.find_map ctx mname <> None then (mname, 1) :: refs
                    else refs)
@@ -438,13 +452,14 @@ let admit snap ~(ctx : Ast.program) ~order element =
             pl_demand = demand; pl_element = element;
             pl_residency = residency }
         in
-        (* cons-then-stable-sort: an element sharing an order with
-           placed ones goes first among them *)
-        let placed =
-          List.stable_sort
-            (fun a b -> compare a.pl_order b.pl_order)
-            (entry :: snap.placed)
+        (* [placed] is sorted by order: insert before the first entry
+           of the same or a later order, so an element sharing an order
+           with placed ones goes first among them *)
+        let[@tail_mod_cons] rec insert = function
+          | p :: rest when p.pl_order < order -> p :: insert rest
+          | l -> entry :: l
         in
+        let placed = insert snap.placed in
         let parser_rules =
           snap.parser_rules
           @ List.map (fun r -> r.Ast.pr_name) missing_rules
@@ -474,10 +489,10 @@ let finalize snap =
   let map_refs =
     List.fold_left
       (fun refs name ->
-        match List.assoc_opt name refs with
+        match assoc_name name refs with
         | None -> refs
-        | Some 1 -> List.remove_assoc name refs
-        | Some n -> (name, n - 1) :: List.remove_assoc name refs)
+        | Some 1 -> remove_name name refs
+        | Some n -> (name, n - 1) :: remove_name name refs)
       snap.map_refs snap.pending_unref
   in
   { snap with map_refs; pending_unref = [] }
@@ -545,14 +560,22 @@ let defragment snap =
 (* -- Cost / reconciliation -------------------------------------------- *)
 
 (** Most-loaded-dimension occupancy in [0, 1]: over all stages of a
-    staged shape; the fuller of the busiest tile kind and the shared
+    staged shape, and the fuller of that and the PEM slots of an
+    elastic pipe; the fuller of the busiest tile kind and the shared
     pool of a tiled one; over the pool otherwise. *)
 let occupancy snap =
   match snap.shape with
-  | Sh_staged { stages; per_stage } | Sh_staged_pem { stages; per_stage; _ } ->
+  | Sh_staged { stages; per_stage } ->
     utilization
       ~used:(Array.fold_left add zero snap.stage_used)
       ~capacity:(scale stages per_stage)
+  | Sh_staged_pem { stages; per_stage; pem_slots } ->
+    Float.max
+      (utilization
+         ~used:(Array.fold_left add zero snap.stage_used)
+         ~capacity:(scale stages per_stage))
+      (if pem_slots = 0 then 0.
+       else float_of_int snap.pem_used /. float_of_int pem_slots)
   | Sh_tiled { tiles; pool; _ } ->
     let tile_util =
       List.fold_left
@@ -584,6 +607,25 @@ let used snap =
     — empty when the planner's model matched the device. Compares
     occupancy, placements (name/order/slot), parser rules, and map
     refcounts. *)
+let equal_t a b =
+  Int.equal a.sram_bytes b.sram_bytes
+  && Int.equal a.tcam_bytes b.tcam_bytes
+  && Int.equal a.action_slots b.action_slots
+  && Int.equal a.instructions b.instructions
+
+let equal_slot a b =
+  match (a, b) with
+  | In_stage x, In_stage y -> Int.equal x y
+  | In_tiles (k, n), In_tiles (k', n') -> k = k' && Int.equal n n'
+  | In_pool, In_pool | In_pem, In_pem -> true
+  | _ -> false
+
+(* Equal as sorted multisets: in-order equality (the usual case, as
+   predicted and actual state are built by the same functions in the
+   same order) decides without sorting. *)
+let same_sorted eq l l' =
+  List.equal eq l l' || List.sort compare l = List.sort compare l'
+
 let diff predicted actual =
   let out = ref [] in
   let say fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
@@ -595,37 +637,47 @@ let diff predicted actual =
   else
     Array.iteri
       (fun i u ->
-        if u <> actual.stage_used.(i) then
+        if not (equal_t u actual.stage_used.(i)) then
           say "stage %d: predicted %s, actual %s" i (pv u)
             (pv actual.stage_used.(i)))
       predicted.stage_used;
-  if predicted.pool_used <> actual.pool_used then
+  if not (equal_t predicted.pool_used actual.pool_used) then
     say "pool: predicted %s, actual %s" (pv predicted.pool_used)
       (pv actual.pool_used);
-  let norm_tiles l =
-    List.sort compare (List.filter (fun (_, n) -> n <> 0) l)
-  in
-  if norm_tiles predicted.tiles_used <> norm_tiles actual.tiles_used then
-    say "tiles-in-use differ";
+  let nonzero l = List.filter (fun (_, n) -> n <> 0) l in
+  if
+    not
+      (List.equal
+         (fun (k, n) (k', n') -> k = k' && Int.equal n n')
+         predicted.tiles_used actual.tiles_used
+      || List.sort compare (nonzero predicted.tiles_used)
+         = List.sort compare (nonzero actual.tiles_used))
+  then say "tiles-in-use differ";
   if predicted.pem_used <> actual.pem_used then
     say "pem: predicted %d, actual %d" predicted.pem_used actual.pem_used;
-  let sig_of p = (p.pl_name, p.pl_order, p.pl_slot) in
-  let psig = List.map sig_of predicted.placed
-  and asig = List.map sig_of actual.placed in
-  if psig <> asig then begin
+  let same_sig p q =
+    String.equal p.pl_name q.pl_name
+    && Int.equal p.pl_order q.pl_order
+    && equal_slot p.pl_slot q.pl_slot
+  in
+  if not (List.equal same_sig predicted.placed actual.placed) then begin
     let show l =
       String.concat ","
         (List.map
-           (fun (n, o, s) -> Printf.sprintf "%s@%d:%s" n o (slot_to_string s))
+           (fun p ->
+             Printf.sprintf "%s@%d:%s" p.pl_name p.pl_order
+               (slot_to_string p.pl_slot))
            l)
     in
-    say "placed: predicted [%s], actual [%s]" (show psig) (show asig)
+    say "placed: predicted [%s], actual [%s]" (show predicted.placed)
+      (show actual.placed)
   end;
-  if
-    List.sort compare predicted.parser_rules
-    <> List.sort compare actual.parser_rules
+  if not (same_sorted String.equal predicted.parser_rules actual.parser_rules)
   then say "parser rules differ";
   if
-    List.sort compare predicted.map_refs <> List.sort compare actual.map_refs
+    not
+      (same_sorted
+         (fun (m, n) (m', n') -> String.equal m m' && Int.equal n n')
+         predicted.map_refs actual.map_refs)
   then say "map refcounts differ";
   List.rev !out

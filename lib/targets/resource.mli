@@ -111,6 +111,10 @@ type snapshot = {
 
 val find_placed : snapshot -> string -> placed option
 
+(** The reference count of a map, [None] when no placed element
+    references it. *)
+val map_ref : snapshot -> string -> int option
+
 (** Demand of an element within context [ctx], including map bytes for
     maps not yet referenced in the snapshot (first referencing element
     pays). Returns (demand, newly charged maps). *)
@@ -156,8 +160,9 @@ val remove_parser_rule : snapshot -> string -> snapshot option
     shapes. *)
 val defragment : snapshot -> int * snapshot
 
-(** Most-loaded-dimension occupancy in [0, 1] (per shape: all stages;
-    the busiest tile kind or the shared pool; the pool). *)
+(** Most-loaded-dimension occupancy in [0, 1] (per shape: all stages,
+    and for an elastic pipe its PEM slots too; the busiest tile kind or
+    the shared pool; the pool). *)
 val occupancy : snapshot -> float
 
 (** Occupied resources summed over the shape's partitions; tiles count

@@ -428,6 +428,149 @@ let prop_recompile_transparent =
         ops
       && envs_agree prog env_a env_b)
 
+(* Recompiling after a patch with [~prev] (reusing the closures of
+   unchanged elements) against a fresh compile and the interpreter: the
+   same scenarios, interleaved with patches that add, remove and replace
+   blocks and change the table's default. After every step the three
+   engines agree packet by packet, and the reusing and the fresh compile
+   report the same device-tier telemetry — a reused table starts a new
+   tier exactly as a freshly compiled one does. *)
+type pstep =
+  | Step of op
+  | Add_block of int * Ast.stmt list (* before the n-th element, or at the end *)
+  | Remove_block of int
+  | Replace_block of int * Ast.stmt list
+  | Default of string * int64 list
+
+let pstep_gen arity =
+  QCheck.Gen.(
+    frequency
+      [ (8, map (fun o -> Step o) (op_gen arity));
+        (1, map2 (fun i b -> Add_block (i, b)) (int_bound 5)
+              (list_size (int_range 1 3) stmt_gen));
+        (1, map (fun i -> Remove_block i) (int_bound 5));
+        (1, map2 (fun i b -> Replace_block (i, b)) (int_bound 5)
+              (list_size (int_range 1 3) stmt_gen));
+        (1, map (fun (a, args) -> Default (a, args))
+              (oneofl
+                 [ ("refuse", []); ("set_port", [ 3L ]); ("mark", [ 1L; 2L ]) ])) ])
+
+(* The patch a step denotes on [prog]; [None] for packet steps and for
+   steps naming a block the program lacks. *)
+let patch_of_step prog step =
+  let blocks =
+    List.filter_map
+      (function Ast.Block b -> Some b.Ast.blk_name | Ast.Table _ -> None)
+      prog.Ast.pipeline
+  in
+  let nth_block i =
+    match blocks with [] -> None | _ -> Some (List.nth blocks (i mod List.length blocks))
+  in
+  let fresh = ref 0 in
+  let rec fresh_name () =
+    incr fresh;
+    let n = Printf.sprintf "nb%d" !fresh in
+    if Ast.find_element prog n = None then n else fresh_name ()
+  in
+  Option.map (Patch.v "step")
+    (match step with
+     | Step _ -> None
+     | Add_block (i, body) ->
+       let pos =
+         match List.nth_opt prog.Ast.pipeline i with
+         | Some e -> Patch.Before (Patch.Sel_name (Ast.element_name e))
+         | None -> Patch.At_end
+       in
+       Some [ Patch.Add_element (pos, block (fresh_name ()) body) ]
+     | Remove_block i ->
+       Option.map (fun n -> [ Patch.Remove_element (Patch.Sel_name n) ]) (nth_block i)
+     | Replace_block (i, body) ->
+       Option.map
+         (fun n -> [ Patch.Replace_element (Patch.Sel_name n, block n body) ])
+         (nth_block i)
+     | Default (a, args) -> Some [ Patch.Set_default (Patch.Sel_name "t0", (a, args)) ])
+
+let patched_arb =
+  QCheck.make
+    ~print:(fun ((prog, steps), cap) ->
+      Printf.sprintf "device-tier cap=%d, %d steps\n%s" cap (List.length steps)
+        (Syntax.print prog))
+    QCheck.Gen.(
+      pair
+        (program_gen >>= fun prog ->
+         let arity =
+           match Ast.find_table prog "t0" with
+           | Some t -> List.length t.Ast.keys
+           | None -> 1
+         in
+         map (fun steps -> (prog, steps)) (list_size (int_range 1 40) (pstep_gen arity)))
+        (int_range 1 4))
+
+let prop_patched_recompile_equals_fresh =
+  QCheck.Test.make
+    ~name:"recompile ~prev over patches = fresh compile = interpreted"
+    ~count:200 patched_arb
+    (fun ((prog0, steps), cap) ->
+      let envs = List.init 3 (fun _ -> Interp.create_env prog0) in
+      let env_a, env_b, env_c =
+        match envs with [ a; b; c ] -> (a, b, c) | _ -> assert false
+      in
+      List.iter
+        (fun env ->
+          env.Interp.drpc <- (fun _ args -> List.fold_left Int64.add 1L args))
+        envs;
+      Interp.set_tier_capacity env_b "t0" cap;
+      Interp.set_tier_capacity env_c "t0" cap;
+      let prog = ref prog0 in
+      let reused = ref (Compile.compile env_b prog0) in
+      let fresh = ref (Compile.compile env_c prog0) in
+      let install env r =
+        match Interp.install_rule env "t0" r with
+        | () -> true
+        | exception Interp.Eval_error _ -> false
+      in
+      List.for_all
+        (fun step ->
+          (match patch_of_step !prog step with
+           | None -> ()
+           | Some patch ->
+             (match Patch.apply_ops patch !prog with
+              | Error _ -> ()
+              | Ok (p, _) ->
+                prog := p;
+                reused := Compile.compile ~prev:!reused env_b p;
+                fresh := Compile.compile env_c p));
+          (match step with
+           | Step (Install r) ->
+             let a = install env_a r in
+             a = install env_b r && a = install env_c r
+           | Step (RemoveAbove n) ->
+             List.iter
+               (fun env -> Interp.remove_rules env "t0" (fun r -> r.Ast.rule_priority >= n))
+               envs;
+             true
+           | Step (Advance n) ->
+             List.iter
+               (fun env ->
+                 env.Interp.now_us <- Int64.add env.Interp.now_us (Int64.of_int n))
+               envs;
+             true
+           | Step (Run spec) ->
+             let pkt_a = mk_pkt spec and pkt_b = mk_pkt spec and pkt_c = mk_pkt spec in
+             let ra = Interp.run env_a !prog pkt_a in
+             let rb = Compile.run !reused pkt_b in
+             let rc = Compile.run !fresh pkt_c in
+             results_agree ra rb && results_agree ra rc
+             && meta_list pkt_a = meta_list pkt_b
+             && meta_list pkt_a = meta_list pkt_c
+             && headers_list pkt_a = headers_list pkt_b
+             && headers_list pkt_a = headers_list pkt_c
+           | Add_block _ | Remove_block _ | Replace_block _ | Default _ -> true)
+          && Compile.tier_stats !reused = Compile.tier_stats !fresh)
+        steps
+      && envs_agree !prog env_a env_b
+      && envs_agree !prog env_a env_c)
+
 (* The self-referencing update [incr m [get(m, dst)]] under every
    encoding: the inner read and the outer update fill different key
    buffers, so compiled state must match the interpreter's packet by
@@ -764,7 +907,8 @@ let () =
     [ ( "differential",
         [ to_alcotest prop_compiled_equals_interpreted;
           to_alcotest prop_tiered_equals_interpreted;
-          to_alcotest prop_recompile_transparent ] );
+          to_alcotest prop_recompile_transparent;
+          to_alcotest prop_patched_recompile_equals_fresh ] );
       ( "key_buffers",
         [ Alcotest.test_case "incr keyed by a get of the same map" `Quick
             test_incr_keyed_by_own_get ] );

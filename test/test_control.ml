@@ -93,7 +93,7 @@ let test_tenant_admission_lifecycle () =
   let path, dep = mk_deployment () in
   let tenants = Control.Tenants.create ~sim dep in
   let ext = Apps.Firewall.program ~owner:"acme" ~boundary:100 () in
-  (match Control.Tenants.admit tenants ext with
+  (match Control.Tenants.admit tenants ~cert:(Flexbpf.Analysis.certify ext) ext with
    | Error e -> Alcotest.failf "admit: %a" Control.Tenants.pp_admission_error e
    | Ok (tenant, report) ->
      check_int "vlan allocated" 100 tenant.Control.Tenants.vlan;
@@ -104,7 +104,7 @@ let test_tenant_admission_lifecycle () =
           path));
   check_int "tenant registered" 1 (Control.Tenants.active_count tenants);
   (* duplicate arrival rejected *)
-  (match Control.Tenants.admit tenants ext with
+  (match Control.Tenants.admit tenants ~cert:(Flexbpf.Analysis.certify ext) ext with
    | Error Control.Tenants.Already_present -> ()
    | _ -> Alcotest.fail "expected duplicate rejection");
   (* departure *)
@@ -139,7 +139,7 @@ let test_tenant_departure_restores () =
   in
   let before = dep.Compiler.Incremental.dep_prog in
   let admit () =
-    match Control.Tenants.admit tenants ext with
+    match Control.Tenants.admit tenants ~cert:(Flexbpf.Analysis.certify ext) ext with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "admit: %a" Control.Tenants.pp_admission_error e
   in
@@ -167,7 +167,7 @@ let test_tenant_rejection_paths () =
   let broken =
     program ~owner:"bad" "broken" [ block "b" [ map_incr "ghost" [ const 0 ] ] ]
   in
-  (match Control.Tenants.admit tenants broken with
+  (match Control.Tenants.admit tenants ~cert:(Flexbpf.Analysis.certify broken) broken with
    | Error (Control.Tenants.Certification _) -> ()
    | _ -> Alcotest.fail "expected certification rejection");
   (* access-control violation: a tenant smuggling a reference into the
@@ -178,7 +178,7 @@ let test_tenant_rejection_paths () =
       ~maps:[ map_decl ~key_arity:1 ~size:4 "infra/secret" ]
       [ block "peek" [ set_meta "x" (map_get "infra/secret" [ const 0 ]) ] ]
   in
-  (match Control.Tenants.admit tenants snoop with
+  (match Control.Tenants.admit tenants ~cert:(Flexbpf.Analysis.certify snoop) snoop with
    | Error (Control.Tenants.Access_control _) -> ()
    | _ -> Alcotest.fail "expected access rejection");
   check_int "rejections counted" 2 tenants.Control.Tenants.rejected;
@@ -189,9 +189,8 @@ let test_tenant_vlans_distinct () =
   let _path, dep = mk_deployment () in
   let tenants = Control.Tenants.create ~sim dep in
   let admit owner =
-    match
-      Control.Tenants.admit tenants (Apps.Firewall.program ~owner ~boundary:50 ())
-    with
+    let p = Apps.Firewall.program ~owner ~boundary:50 () in
+    match Control.Tenants.admit tenants ~cert:(Flexbpf.Analysis.certify p) p with
     | Ok (t, _) -> t.Control.Tenants.vlan
     | Error e -> Alcotest.failf "admit %s: %a" owner Control.Tenants.pp_admission_error e
   in
@@ -220,7 +219,7 @@ let test_certificate_placement () =
       [ block "c" [ map_incr "hits" [ const 0 ] ] ]
   in
   let affinity tenants p =
-    match Control.Tenants.admit tenants p with
+    match Control.Tenants.admit tenants ~cert:(Flexbpf.Analysis.certify p) p with
     | Ok (t, _) -> t.Control.Tenants.shard_affinity
     | Error e -> Alcotest.failf "admit: %a" Control.Tenants.pp_admission_error e
   in
@@ -509,6 +508,52 @@ let test_controller_expand_map () =
     (Result.is_error
        (Control.Controller.expand_map ctl uri ~map_name:"ghost" ~factor:2))
 
+(* O(Δ) admission: admitting one tenant at 200 resident tenants
+   allocates at most 3x what it does at 20 (whole-program checking and
+   compiling made it 5x). Admission type-checks and compiles only what
+   its patch changes; what still grows with the resident count is the
+   copying of list spines (pipeline, placements, map declarations), a
+   few words per resident element. [Gc.minor_words] counts exactly what
+   the admission allocated, and the same inputs allocate the same, so
+   the bound is deterministic. *)
+let admission_words ~residents =
+  let sim = Netsim.Sim.create () in
+  let _path, dep = mk_deployment () in
+  let tenants = Control.Tenants.create ~sim dep in
+  let counter owner =
+    program ~owner "counter"
+      ~maps:[ map_decl ~key_arity:1 ~size:16 "hits" ]
+      [ block "count" [ map_incr "hits" [ field "ipv4" "src" ] ] ]
+  in
+  let admit ext =
+    match
+      Control.Tenants.admit tenants ~cert:(Flexbpf.Analysis.certify ext) ext
+    with
+    | Ok _ -> ()
+    | Error e ->
+      Alcotest.failf "admit %s: %a" ext.Flexbpf.Ast.owner
+        Control.Tenants.pp_admission_error e
+  in
+  for i = 1 to residents do
+    admit (counter (Printf.sprintf "r%03d" i))
+  done;
+  let probe = counter "probe" in
+  let cert = Flexbpf.Analysis.certify probe in
+  let w0 = Gc.minor_words () in
+  (match Control.Tenants.admit tenants ~cert probe with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "admit probe: %a" Control.Tenants.pp_admission_error e);
+  Gc.minor_words () -. w0
+
+let test_admission_cost_flat () =
+  let w20 = admission_words ~residents:20 in
+  let w200 = admission_words ~residents:200 in
+  check
+    (Printf.sprintf
+       "admission words %.0f at 200 residents <= 3x %.0f at 20" w200 w20)
+    true
+    (w200 <= 3. *. w20)
+
 let () =
   Alcotest.run "control"
     [ ( "uri",
@@ -523,7 +568,9 @@ let () =
           Alcotest.test_case "rejections" `Quick test_tenant_rejection_paths;
           Alcotest.test_case "distinct vlans" `Quick test_tenant_vlans_distinct;
           Alcotest.test_case "certificate placement" `Quick
-            test_certificate_placement ] );
+            test_certificate_placement;
+          Alcotest.test_case "admission cost flat" `Quick
+            test_admission_cost_flat ] );
       ( "elastic",
         [ Alcotest.test_case "scaling" `Quick test_elastic_scaling;
           Alcotest.test_case "cooldown" `Quick test_elastic_cooldown ] );

@@ -523,15 +523,21 @@ let test_access_control () =
   | [ Compose.Touches_foreign_map ("evil/peek", "port_counters") ] -> ()
   | other -> Alcotest.failf "expected violation, got %d" (List.length other)
 
+(* the last arrival patch of each owner, which [depart] inverts *)
+let arrivals : (string, Patch.t) Hashtbl.t = Hashtbl.create 8
+
 (* [Some] the program after applying [ext]'s arrival patch *)
 let arrive ?(vlan = 9) base ext =
   match Compose.arrival ~vlan ~base ext with
   | Error _ -> None
-  | Ok patch -> Result.to_option (Result.map fst (Patch.apply patch base))
+  | Ok patch ->
+    Hashtbl.replace arrivals ext.Ast.owner patch;
+    Result.to_option (Result.map fst (Patch.apply patch base))
 
 let depart owner prog =
   Result.to_option
-    (Result.map fst (Patch.apply (Compose.departure ~owner prog) prog))
+    (Result.map fst
+       (Patch.apply (Compose.departure (Hashtbl.find arrivals owner)) prog))
 
 let arrive_exn ?vlan base ext =
   match arrive ?vlan base ext with

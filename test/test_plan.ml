@@ -180,7 +180,12 @@ let prop_plan_patch_pure case =
     path before;
   match (r1, r2) with
   | Ok (a, _), Ok (b, _) ->
-    a.Compiler.Incremental.ch_where = b.Compiler.Incremental.ch_where
+    let where_ids pc =
+      List.map
+        (fun (n, d) -> (n, Targets.Device.id d))
+        pc.Compiler.Incremental.ch_where
+    in
+    where_ids a = where_ids b
     && a.Compiler.Incremental.ch_report.Compiler.Incremental.plan
        = b.Compiler.Incremental.ch_report.Compiler.Incremental.plan
   | Error _, Error _ -> true (* same rejection both times is fine *)

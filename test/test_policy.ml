@@ -395,7 +395,7 @@ let test_tenant_policy_admission () =
         Alcotest.failf "lower_block: %s"
           (Format.asprintf "%a" Policy.Compile.pp_error e)
     in
-    (match Control.Tenants.admit tenants program with
+    (match Control.Tenants.admit tenants ~cert:(Flexbpf.Analysis.certify program) program with
      | Error e ->
        Alcotest.failf "admit: %s"
          (Format.asprintf "%a" Control.Tenants.pp_admission_error e)

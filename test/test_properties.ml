@@ -507,6 +507,210 @@ let prop_patch_preserves_typing =
       | Error _ -> false
       | Ok (p, _) -> Typecheck.check_program p = Ok ())
 
+(* -- Delta type-checking = whole-program type-checking --------------------------------- *)
+
+(* Small name vocabularies, so that patches collide with the base, hit
+   removed maps, and reference headers a later op adds. Every kind of
+   typing error is reachable: unknown maps/fields/headers/params, key
+   arity, loop bounds, action defaults, sizes, duplicate fields, and
+   duplicate element names through a replacement. *)
+let dc_maps = [ "m0"; "m1"; "m2"; "m3" ]
+let dc_elements = [ "e0"; "e1"; "e2"; "e3"; "e4" ]
+
+let dc_expr_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun i -> Builder.const i) (int_bound 9));
+        (3, map2 Builder.field (oneofl [ "ipv4"; "ipv4"; "vx"; "nohdr" ])
+              (oneofl [ "src"; "dst"; "a"; "zz" ]));
+        (2, map2
+              (fun m n -> Builder.map_get m (List.init n (fun _ -> Builder.const 1)))
+              (oneofl dc_maps) (int_range 1 2));
+        (1, map Builder.param (oneofl [ "p"; "q" ])) ])
+
+let dc_stmt_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun e -> Builder.set_meta "x" e) dc_expr_gen);
+        (3, map3
+              (fun m n e -> Builder.map_incr ~by:e m (List.init n (fun _ -> Builder.const 0)))
+              (oneofl dc_maps) (int_range 1 2) dc_expr_gen);
+        (1, map2 (fun n e -> Builder.loop n [ Builder.set_meta "y" e ])
+              (oneofl [ 0; 1; 4; 64; 65 ]) dc_expr_gen);
+        (1, map (fun h -> Ast.Push_header h) (oneofl [ "ipv4"; "vx"; "nohdr" ])) ])
+
+let dc_element_gen =
+  QCheck.Gen.(
+    oneofl dc_elements >>= fun name ->
+    frequency
+      [ (3, map (fun body -> Builder.block name body)
+              (list_size (int_range 1 3) dc_stmt_gen));
+        (2, map3
+              (fun key body (default, size) ->
+                Builder.table name ~keys:[ Builder.exact key ]
+                  ~actions:[ Builder.action "act" ~params:[ "p" ] body ]
+                  ~default ~size ())
+              dc_expr_gen
+              (list_size (int_range 1 2) dc_stmt_gen)
+              (pair
+                 (oneofl [ ("nop", []); ("act", [ 1L ]); ("act", []); ("gone", []) ])
+                 (oneofl [ 16; 16; 0 ]))) ])
+
+let dc_map_gen =
+  QCheck.Gen.(
+    map3
+      (fun name key_arity size -> Builder.map_decl ~key_arity ~size name)
+      (oneofl dc_maps) (oneofl [ 1; 1; 2; 0 ]) (oneofl [ 8; 8; 0 ]))
+
+let dc_rule_gen =
+  QCheck.Gen.(
+    map2 Builder.parser_rule (oneofl [ "p0"; "p1"; "p2" ])
+      (oneofl [ [ "ethernet"; "ipv4" ]; [ "ethernet"; "vx" ]; [ "nohdr" ] ]))
+
+let dc_header_gen =
+  QCheck.Gen.(
+    map2 Builder.header (oneofl [ "vx"; "vx"; "ipv4" ])
+      (oneofl [ [ ("a", 8); ("b", 8) ]; [ ("a", 8); ("a", 8) ] ]))
+
+(* A well-typed base: one to four elements whose bodies use only the
+   base's maps at their declared arity, constants and ipv4 fields
+   (checked anyway, and regenerated on the rare miss). *)
+let dc_base_gen =
+  QCheck.Gen.(
+    let raw st =
+      let maps =
+        List.filter_map
+          (fun name ->
+            if bool st then
+              Some (Builder.map_decl ~key_arity:(int_range 1 2 st) ~size:8 name)
+            else None)
+          dc_maps
+      in
+      let expr st =
+        match maps with
+        | m :: _ when bool st ->
+          Builder.map_get m.Ast.map_name
+            (List.init m.Ast.key_arity (fun _ -> Builder.const 1))
+        | _ -> oneofl [ Builder.const 3; Builder.field "ipv4" "src" ] st
+      in
+      let stmt st =
+        match maps with
+        | _ :: _ when bool st ->
+          let m = oneofl maps st in
+          Builder.map_incr m.Ast.map_name
+            (List.init m.Ast.key_arity (fun _ -> Builder.const 0))
+        | _ -> Builder.set_meta "x" (expr st)
+      in
+      let element name =
+        if int_bound 2 st = 0 then
+          Builder.table name ~keys:[ Builder.exact (expr st) ]
+            ~actions:[ Builder.action "act" ~params:[ "p" ] [ stmt st ] ]
+            ~default:("act", [ 1L ]) ~size:16 ()
+        else Builder.block name (List.init (int_range 1 3 st) (fun _ -> stmt st))
+      in
+      Builder.program "base" ~maps
+        ~parser:(if bool st then [ Builder.parser_rule "p0" [ "ethernet" ] ] else [])
+        (List.filteri (fun i _ -> i < int_range 1 4 st) (List.map element dc_elements))
+    in
+    let rec well_typed st =
+      let p = raw st in
+      if Typecheck.check_program p = Ok () then p else well_typed st
+    in
+    well_typed)
+
+(* Ops are drawn against the base: removals, replacements and defaults
+   mostly name what it holds, additions mostly bring new names. *)
+let dc_op_gen (base : Ast.program) =
+  QCheck.Gen.(
+    let pick held vocab =
+      match held with
+      | [] -> oneofl vocab
+      | _ -> frequency [ (4, oneofl held); (1, oneofl vocab) ]
+    in
+    let held_elements = List.map Ast.element_name base.Ast.pipeline in
+    let held_maps = List.map (fun (m : Ast.map_decl) -> m.Ast.map_name) base.Ast.maps in
+    let sel =
+      frequency
+        [ (6, map (fun n -> Patch.Sel_name n) (pick held_elements dc_elements));
+          (1, return (Patch.Sel_name "e*"));
+          (1, map (fun k -> Patch.Sel_kind k) (oneofl [ `Table; `Block ])) ]
+    in
+    let rename name = function
+      | Ast.Block b -> Ast.Block { b with Ast.blk_name = name }
+      | Ast.Table t -> Ast.Table { t with Ast.tbl_name = name }
+    in
+    let fresh_element =
+      map2 rename (oneofl [ "f0"; "f1"; "f2"; "e0" ]) dc_element_gen
+    in
+    let fresh_map =
+      map2
+        (fun name (m : Ast.map_decl) -> { m with Ast.map_name = name })
+        (oneofl [ "m2"; "m3"; "m4"; "m5" ]) dc_map_gen
+    in
+    frequency
+      [ (4, map2 (fun pos el -> Patch.Add_element (pos, el))
+              (oneof
+                 [ return Patch.At_start; return Patch.At_end;
+                   map (fun s -> Patch.Before s) sel;
+                   map (fun s -> Patch.After s) sel ])
+              fresh_element);
+        (2, map (fun s -> Patch.Remove_element s) sel);
+        (3, map2 (fun s el -> Patch.Replace_element (s, el)) sel
+              (frequency
+                 [ (3, map2 rename (pick held_elements dc_elements) dc_element_gen);
+                   (1, dc_element_gen) ]));
+        (2, map2 (fun s d -> Patch.Set_default (s, d)) sel
+              (oneofl [ ("nop", []); ("act", [ 2L ]); ("act", []); ("gone", []) ]));
+        (3, map (fun m -> Patch.Add_map m) fresh_map);
+        (3, map (fun m -> Patch.Remove_map m) (pick held_maps dc_maps));
+        (2, map (fun r -> Patch.Add_parser_rule r) dc_rule_gen);
+        (1, map (fun n -> Patch.Remove_parser_rule n)
+              (pick (List.map (fun r -> r.Ast.pr_name) base.Ast.parser) [ "p0" ]));
+        (2, map (fun h -> Patch.Add_header h) dc_header_gen) ])
+
+let dc_print (base, (patch : Patch.t)) =
+  Printf.sprintf "%s\n-- patch: %d ops: %s" (Syntax.print base)
+    (List.length patch.Patch.ops)
+    (String.concat "; "
+       (List.map
+          (function
+            | Patch.Add_element (_, el) -> "add " ^ Ast.element_name el
+            | Patch.Remove_element s -> Fmt.str "remove %a" Patch.pp_selector s
+            | Patch.Replace_element (s, el) ->
+              Fmt.str "replace %a by %s" Patch.pp_selector s (Ast.element_name el)
+            | Patch.Set_default (s, (a, _)) ->
+              Fmt.str "default %a %s" Patch.pp_selector s a
+            | Patch.Add_map m -> "add map " ^ m.Ast.map_name
+            | Patch.Remove_map m -> "remove map " ^ m
+            | Patch.Add_parser_rule r -> "add rule " ^ r.Ast.pr_name
+            | Patch.Remove_parser_rule r -> "remove rule " ^ r
+            | Patch.Add_header h -> "add header " ^ h.Ast.hdr_name)
+          patch.Patch.ops))
+
+let dc_arb =
+  QCheck.make ~print:dc_print
+    QCheck.Gen.(
+      dc_base_gen >>= fun base ->
+      map
+        (fun ops -> (base, Patch.v "p" ops))
+        (list_size (int_range 1 3) (dc_op_gen base)))
+
+(* [Patch.apply] checks only the patch's delta; on a well-typed base it
+   must accept and reject exactly the patches the whole-program check
+   does, with the same error list. *)
+let prop_delta_check_is_full_check =
+  QCheck.Test.make ~name:"patch: delta check = whole-program check" ~count:3000
+    dc_arb (fun (base, patch) ->
+      let reference =
+        match Patch.apply_ops patch base with
+        | Error e -> Error (`Patch e)
+        | Ok (prog', diff) ->
+          (match Typecheck.check_program prog' with
+           | Ok () -> Ok (prog', diff)
+           | Error es -> Error (`Ill_typed es))
+      in
+      Patch.apply patch base = reference)
+
 (* -- Count-min sketch soundness ----------------------------------------------------------- *)
 
 let prop_sketch_never_underestimates =
@@ -909,7 +1113,8 @@ let () =
           to_alcotest prop_glob_question_length ] );
       ( "patch",
         [ to_alcotest prop_patch_add_remove_identity;
-          to_alcotest prop_patch_preserves_typing ] );
+          to_alcotest prop_patch_preserves_typing;
+          to_alcotest prop_delta_check_is_full_check ] );
       ( "sketch", [ to_alcotest prop_sketch_never_underestimates ] );
       ( "resources",
         [ to_alcotest prop_resource_add_sub;

@@ -245,6 +245,22 @@ let test_elastic_pem_for_blocks () =
   check_int "PEM slots bounded" (Targets.Arch.elastic_pipe.Targets.Arch.pem_slots - 1)
     !accepted
 
+(* An elastic pipe's occupancy counts its PEM slots: with every block in
+   the PEM and no stage used, the device reads as loaded in proportion
+   to its slots, not as empty — energy consolidation would otherwise
+   drain other devices onto a full one. *)
+let test_elastic_pem_occupancy () =
+  let dev = Targets.Device.create Targets.Arch.elastic_pipe in
+  let slots = Targets.Arch.elastic_pipe.Targets.Arch.pem_slots in
+  for i = 1 to slots / 2 do
+    let b = block (Printf.sprintf "b%d" i) [ set_meta "x" (const 1) ] in
+    match Targets.Device.install dev ~ctx:(prog_of [ b ]) ~order:i b with
+    | Ok Targets.Resource.In_pem -> ()
+    | _ -> Alcotest.fail "blocks should use PEM slots"
+  done;
+  Alcotest.(check (float 1e-9)) "half the PEM slots" 0.5
+    (Targets.Device.utilization dev)
+
 let test_block_cycle_limits () =
   (* a heavy eBPF-style block is rejected by switches, admitted by hosts *)
   let heavy = block "heavy" [ loop 64 [ set_meta "x" (const 1) ] ] in
@@ -535,6 +551,8 @@ let () =
           Alcotest.test_case "drmt pool" `Quick test_drmt_pool_fungible;
           Alcotest.test_case "tiles typed" `Quick test_tiles_typed_capacity;
           Alcotest.test_case "elastic PEM" `Quick test_elastic_pem_for_blocks;
+          Alcotest.test_case "elastic PEM occupancy" `Quick
+            test_elastic_pem_occupancy;
           Alcotest.test_case "block cycle limits" `Quick test_block_cycle_limits;
           Alcotest.test_case "map charged once" `Quick test_map_charged_once;
           Alcotest.test_case "oversubscribed table admitted" `Quick

@@ -382,7 +382,8 @@ let test_tenant_diagnostics_recorded () =
     | Error f -> Alcotest.failf "deploy: %a" Compiler.Placement.pp_failure f
   in
   let tenants = Control.Tenants.create ~sim dep in
-  match Control.Tenants.admit tenants (Apps.Firewall.program ~owner:"acme" ()) with
+  let ext = Apps.Firewall.program ~owner:"acme" () in
+  match Control.Tenants.admit tenants ~cert:(Flexbpf.Analysis.certify ext) ext with
   | Error e -> Alcotest.failf "admit: %a" Control.Tenants.pp_admission_error e
   | Ok (tenant, _) ->
     check "admission records verifier findings" true
