@@ -1,7 +1,7 @@
 (* Bechamel microbenchmarks for the hot paths underneath the
    experiments: per-packet interpretation (reference interpreter vs the
    closure-compiled fast path), sketch updates, map encodings, rule
-   matching, event-queue churn, and placement.
+   matching, event-queue churn, a link hop, and placement.
 
    The interpreter benchmarks come in reference/compiled pairs; after
    the raw ns/op table a speedup section reports compiled-path gains.
@@ -197,12 +197,21 @@ let test_event_queue =
   Test.make ~name:"event queue: push+pop x64" (Staged.stage (fun () ->
       let q = Netsim.Event_queue.create () in
       for i = 0 to 63 do
-        Netsim.Event_queue.push q ~time:(float_of_int (i * 7919 mod 64)) ~seq:i
-          ignore
+        Netsim.Event_queue.push q ~time:(float_of_int (i * 7919 mod 64)) ~seq:i i
       done;
       while not (Netsim.Event_queue.is_empty q) do
-        ignore (Netsim.Event_queue.pop_exn q : unit -> unit)
+        ignore (Netsim.Event_queue.pop_exn q : int)
       done))
+
+(* One simulated hop on an idle link: the transmit and its arrival
+   event, run to completion. *)
+let test_link_hop =
+  let sim = Netsim.Sim.create () in
+  let link = Netsim.Link.create ~sim ~name:"l" () in
+  let pkt = mk_packet () in
+  Test.make ~name:"link hop: transmit+arrival" (Staged.stage (fun () ->
+      ignore (Netsim.Link.transmit link pkt : bool);
+      ignore (Netsim.Sim.run sim : int)))
 
 let test_placement =
   Test.make ~name:"compiler: place 20-table program" (Staged.stage (fun () ->
@@ -229,7 +238,7 @@ let benchmarks =
   [ test_interp_table; test_compiled_table; test_sketch_update;
     test_compiled_sketch_update; test_state_registers; test_state_flow;
     test_state_stateful; test_event_queue_boxed; test_event_queue;
-    test_placement; test_patch_apply ]
+    test_link_hop; test_placement; test_patch_apply ]
 
 let strip_group name =
   String.concat "" (String.split_on_char '/' name |> List.tl)

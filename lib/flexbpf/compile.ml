@@ -179,23 +179,21 @@ let compile_field hname fname : cexpr =
   fun pkt _ -> !(field_cell fc hname fname pkt ~hdr_err:err ~fld_err:err)
 
 (* Per-site cache of a metadata key's cell. Meta cells are append-only
-   (no code removes a key), so once resolved for a packet's table the
-   cell stays the binding for that packet's whole lifetime; the only
-   check needed is the table's identity (i.e. which packet this is). *)
-let dummy_meta : (string, int64 ref) Hashtbl.t = Hashtbl.create 1
-
+   (no code removes a key), so once resolved for a packet the cell
+   stays the binding for that packet's whole lifetime; the only check
+   needed is which packet this is. (Not the table: a packet's table is
+   created at its first metadata write.) *)
 type mcellc = {
-  mutable mm_tbl : (string, int64 ref) Hashtbl.t;
+  mutable mm_pkt : Netsim.Packet.t;
   mutable mm_cell : int64 ref;
 }
 
-let mcellc () = { mm_tbl = dummy_meta; mm_cell = ref 0L }
+let mcellc () = { mm_pkt = Netsim.Packet.dummy; mm_cell = ref 0L }
 
 let mcell_set mc key (pkt : Netsim.Packet.t) v =
-  let tbl = pkt.Netsim.Packet.meta in
-  if tbl != mc.mm_tbl then begin
+  if pkt != mc.mm_pkt then begin
     mc.mm_cell <- Netsim.Packet.meta_cell pkt key;
-    mc.mm_tbl <- tbl
+    mc.mm_pkt <- pkt
   end;
   mc.mm_cell := v
 

@@ -4,7 +4,12 @@
     The queue is modeled analytically: the instantaneous depth is the
     number of packets accepted but not yet serialized, which is exact
     for a drop-tail FIFO and avoids per-byte events. Packets whose
-    depth-at-enqueue reaches [ecn_threshold] get [ipv4.ecn] set. *)
+    depth-at-enqueue reaches [ecn_threshold] get [ipv4.ecn] set.
+
+    A hop is one event, the arrival, and allocates nothing: departure
+    times are known at enqueue and settled lazily, so the accessors and
+    the registry counters read exactly as if each departure were an
+    event whenever the simulation is between runs. *)
 
 type t
 
@@ -12,6 +17,7 @@ val create :
   sim:Sim.t -> name:string -> ?bandwidth:float -> ?delay:float ->
   ?queue_capacity:int -> ?ecn_threshold:int -> ?deliver:(Packet.t -> unit) ->
   unit -> t
+(** @raise Invalid_argument on a negative [delay]. *)
 
 (** The name given at creation ("src->dst" for topology links). *)
 val name : t -> string
@@ -30,7 +36,9 @@ val set_up : t -> bool -> unit
     fault placement deterministic. Without an rng no loss is injected. *)
 val set_loss : t -> ?rng:Random.State.t -> float -> unit
 
-(** Extra per-packet propagation delay in seconds (0. to clear). *)
+(** Extra per-packet propagation delay in seconds (0. to clear), read
+    when a packet departs: packets already queued take the new value.
+    @raise Invalid_argument on a negative delay. *)
 val set_extra_delay : t -> float -> unit
 
 (** Current queue depth in packets. *)

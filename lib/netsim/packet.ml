@@ -14,10 +14,11 @@ type header = { hname : string; mutable fields : (string * int64 ref) list }
 type t = {
   uid : int;
   mutable headers : header list; (* outermost first *)
-  meta : (string, int64 ref) Hashtbl.t;
+  mutable meta : (string, int64 ref) Hashtbl.t;
     (* ref cells for the same reason as header fields: repeated writes
        to one key mutate in place instead of re-bucketing, and the fast
-       path may cache a key's cell per table identity *)
+       path may cache a key's cell per packet. The shared empty
+       [no_meta] until the first write: most packets never get one. *)
   size : int; (* bytes on the wire *)
   born : float; (* injection time *)
   mutable epoch : int; (* program version that processed this packet *)
@@ -30,9 +31,22 @@ type t = {
    deterministic may depend on global allocation order. *)
 let counter = Atomic.make 0
 
-let create ?(size = 1000) ?(born = 0.) headers =
-  { uid = 1 + Atomic.fetch_and_add counter 1; headers; meta = Hashtbl.create 8;
-    size; born; epoch = 0; shape_cache = None }
+(* Read-only: every write path replaces it with a table of its own. *)
+let no_meta : (string, int64 ref) Hashtbl.t = Hashtbl.create 1
+
+let v ~size ~born headers =
+  { uid = 1 + Atomic.fetch_and_add counter 1; headers; meta = no_meta; size;
+    born; epoch = 0; shape_cache = None }
+
+let create ?(size = 1000) ?(born = 0.) headers = v ~size ~born headers
+
+let dummy =
+  { uid = 0; headers = []; meta = no_meta; size = 0; born = 0.; epoch = 0;
+    shape_cache = None }
+
+let own_meta t =
+  if t.meta == no_meta then t.meta <- Hashtbl.create 8;
+  t.meta
 
 (* Header and field lookups are top-level recursions that return a
    sentinel or a default: per-hop code reads through them without
@@ -71,19 +85,17 @@ let field_exn t hname fname =
 
 (* Writes mutate the binding's cell: no list rebuild, no allocation on
    the per-packet hot path. *)
-let set_header_field ~hname h fname v =
-  let rec update = function
-    | [] ->
-      invalid_arg
-        (Printf.sprintf "Packet.set_field: no field %s.%s" hname fname)
-    | (k, c) :: tl -> if String.equal k fname then c := v else update tl
-  in
-  update h.fields
+let rec set_in_fields hname fname v = function
+  | [] ->
+    invalid_arg (Printf.sprintf "Packet.set_field: no field %s.%s" hname fname)
+  | (k, c) :: tl ->
+    if String.equal k fname then c := v else set_in_fields hname fname v tl
 
 let set_field t hname fname v =
-  match header t hname with
-  | None -> invalid_arg (Printf.sprintf "Packet.set_field: no header %s" hname)
-  | Some h -> set_header_field ~hname h fname v
+  let h = find_header hname t.headers in
+  if h == no_header then
+    invalid_arg (Printf.sprintf "Packet.set_field: no header %s" hname)
+  else set_in_fields hname fname v h.fields
 
 let push_header t h =
   t.headers <- h :: t.headers;
@@ -116,7 +128,7 @@ let meta_default t key d =
 let set_meta t key v =
   match Hashtbl.find_opt t.meta key with
   | Some c -> c := v
-  | None -> Hashtbl.add t.meta key (ref v)
+  | None -> Hashtbl.add (own_meta t) key (ref v)
 
 (** The cell bound to [key], created (holding 0) if absent — for code
     that writes the same key repeatedly and wants to cache the cell.
@@ -127,7 +139,7 @@ let meta_cell t key =
   | c -> c
   | exception Not_found ->
     let c = ref 0L in
-    Hashtbl.add t.meta key c;
+    Hashtbl.add (own_meta t) key c;
     c
 
 (* Standard header constructors. Addresses are plain integers: the
@@ -147,11 +159,14 @@ let ipv4 ~src ~dst ?(proto = 6L) ?(ttl = 64L) ?(ecn = 0L) ?(dscp = 0L) () =
       [ ("src", ref src); ("dst", ref dst); ("proto", ref proto);
         ("ttl", ref ttl); ("ecn", ref ecn); ("dscp", ref dscp) ] }
 
-let tcp ~sport ~dport ?(seqno = 0L) ?(ackno = 0L) ?(flags = 0L) () =
+let tcp_v ~sport ~dport ~seqno ~ackno ~flags =
   { hname = "tcp";
     fields =
       [ ("sport", ref sport); ("dport", ref dport); ("seq", ref seqno);
         ("ack", ref ackno); ("flags", ref flags) ] }
+
+let tcp ~sport ~dport ?(seqno = 0L) ?(ackno = 0L) ?(flags = 0L) () =
+  tcp_v ~sport ~dport ~seqno ~ackno ~flags
 
 let udp ~sport ~dport () =
   { hname = "udp"; fields = [ ("sport", ref sport); ("dport", ref dport) ] }

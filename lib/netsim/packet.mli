@@ -14,9 +14,11 @@ type header = { hname : string; mutable fields : (string * int64 ref) list }
 type t = {
   uid : int; (* unique per packet, for tracing *)
   mutable headers : header list; (* outermost first *)
-  meta : (string, int64 ref) Hashtbl.t;
+  mutable meta : (string, int64 ref) Hashtbl.t;
     (* per-packet metadata; ref cells so repeated writes to one key
-       mutate in place (cacheable like header-field cells) *)
+       mutate in place (cacheable like header-field cells). A shared
+       empty table until the first write — write only through
+       [set_meta]/[meta_cell]. *)
   size : int; (* bytes on the wire *)
   born : float; (* injection time *)
   mutable epoch : int; (* program version that processed this packet *)
@@ -25,6 +27,14 @@ type t = {
 }
 
 val create : ?size:int -> ?born:float -> header list -> t
+
+(** [create] without optional arguments, for per-packet code: passing
+    an optional argument boxes it in an option. *)
+val v : size:int -> born:float -> header list -> t
+
+(** A placeholder for preallocated packet arrays. Never send it or
+    write to it. *)
+val dummy : t
 
 val header : t -> string -> header option
 val has_header : t -> string -> bool
@@ -75,6 +85,11 @@ val ipv4 :
 val tcp :
   sport:int64 -> dport:int64 -> ?seqno:int64 -> ?ackno:int64 ->
   ?flags:int64 -> unit -> header
+
+(** [tcp] without optional arguments (see [v]). *)
+val tcp_v :
+  sport:int64 -> dport:int64 -> seqno:int64 -> ackno:int64 -> flags:int64 ->
+  header
 
 val udp : sport:int64 -> dport:int64 -> unit -> header
 

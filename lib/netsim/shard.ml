@@ -141,13 +141,62 @@ type view = {
   sh_nodes : Node.t option array;
 }
 
+(* A shard's delivered-but-not-yet-received messages: a slab whose slot
+   is the argument of one posted event of the shard's [ib_deliver]
+   handler. Owned by the destination shard's domain. *)
+type inbox = {
+  mutable ib_msg : msg array;
+  mutable ib_next : int array; (* free list *)
+  mutable ib_free : int;
+  mutable ib_deliver : int; (* handler id in the shard's simulation *)
+}
+
 type t = {
   t_views : view array;
   t_mail : mailbox array array; (* [src].[dst] *)
+  t_inbox : inbox array; (* per dst shard *)
   t_lookahead : float;
   t_mail_in : int ref array; (* per-dst-shard counter handles *)
   t_mail_spill : int ref array;
 }
+
+let no_msg =
+  { ms_time = 0.; ms_dst = 0; ms_port = 0; ms_pkt = Packet.dummy }
+
+let inbox_create view =
+  let ib = { ib_msg = [||]; ib_next = [||]; ib_free = -1; ib_deliver = -1 } in
+  ib.ib_deliver <-
+    Sim.register view.sh_sim (fun slot ->
+        let m = ib.ib_msg.(slot) in
+        ib.ib_msg.(slot) <- no_msg;
+        ib.ib_next.(slot) <- ib.ib_free;
+        ib.ib_free <- slot;
+        match view.sh_nodes.(m.ms_dst) with
+        | Some node -> Node.receive node ~in_port:m.ms_port m.ms_pkt
+        | None -> assert false);
+  ib
+
+(* Schedule [m]'s delivery in the destination shard. Posting in
+   (source shard, send order) order keeps the merge's tie-break:
+   equal delivery times fire in posting order. *)
+let inbox_post ib sim m =
+  if ib.ib_free < 0 then begin
+    let old = Array.length ib.ib_msg in
+    let cap = Stdlib.max 16 (2 * old) in
+    let msg = Array.make cap no_msg and next = Array.make cap 0 in
+    Array.blit ib.ib_msg 0 msg 0 old;
+    for s = old to cap - 1 do
+      next.(s) <- (if s = cap - 1 then ib.ib_free else s + 1)
+    done;
+    ib.ib_msg <- msg;
+    ib.ib_next <- next;
+    ib.ib_free <- old
+  end;
+  let slot = ib.ib_free in
+  ib.ib_free <- ib.ib_next.(slot);
+  ib.ib_msg.(slot) <- m;
+  (Sim.stage sim).(0) <- m.ms_time;
+  ignore (Sim.post sim ib.ib_deliver slot : int)
 
 let shards t = Array.length t.t_views
 let view t i = t.t_views.(i)
@@ -186,14 +235,10 @@ let build ?(mailbox_capacity = 4096) spec part ~init =
       Some
         (Node.create ~id ~name:(Spec.name spec id) ~kind:(Spec.kind spec id) ())
   done;
-  let dummy =
-    { ms_time = 0.; ms_dst = 0; ms_port = 0;
-      ms_pkt = Packet.create ~size:0 [] }
-  in
   let mail =
     Array.init part.pt_shards (fun _ ->
         Array.init part.pt_shards (fun _ ->
-            { mb_ring = Array.make mailbox_capacity dummy; mb_n = 0;
+            { mb_ring = Array.make mailbox_capacity no_msg; mb_n = 0;
               mb_spill = [] }))
   in
   (* Resolve the engine counters now, in shard order, so every build has
@@ -208,7 +253,8 @@ let build ?(mailbox_capacity = 4096) spec part ~init =
       views
   in
   let t =
-    { t_views = views; t_mail = mail; t_lookahead = la;
+    { t_views = views; t_mail = mail; t_inbox = Array.map inbox_create views;
+      t_lookahead = la;
       t_mail_in = handle "shard.mailbox_in";
       t_mail_spill = handle "shard.mailbox_spill" }
   in
@@ -330,41 +376,30 @@ let run_parallel t ~n_dom ~horizon ~oversubscribed =
   in
   let exchange d s =
     let v = t.t_views.(s) in
-    let out = ref [] in
+    let ib = t.t_inbox.(s) in
     let msgs = ref 0 and spill = ref 0 in
+    (* Delivery order is (time, source shard, send order) — independent
+       of how shards are packed on domains, which is what keeps seeded
+       runs byte-identical for any count. The queue orders by time and
+       breaks ties by posting order, so posting by source shard, then
+       send order, is the whole merge. *)
     for src = 0 to n_sh - 1 do
       let mb = t.t_mail.(src).(s) in
       for i = 0 to mb.mb_n - 1 do
-        out := mb.mb_ring.(i) :: !out
+        inbox_post ib v.sh_sim mb.mb_ring.(i)
       done;
       msgs := !msgs + mb.mb_n;
       mb.mb_n <- 0;
       if mb.mb_spill <> [] then begin
         List.iter
           (fun m ->
-            out := m :: !out;
+            inbox_post ib v.sh_sim m;
             incr msgs;
             incr spill)
           (List.rev mb.mb_spill);
         mb.mb_spill <- []
       end
     done;
-    (* Stable sort on delivery time: ties break by (source shard, send
-       order) — both independent of how shards are packed on domains,
-       which is what keeps seeded runs byte-identical for any count. *)
-    let sorted =
-      List.stable_sort
-        (fun a b -> Float.compare a.ms_time b.ms_time)
-        (List.rev !out)
-    in
-    List.iter
-      (fun m ->
-        let node =
-          match v.sh_nodes.(m.ms_dst) with Some n -> n | None -> assert false
-        in
-        let port = m.ms_port and pkt = m.ms_pkt in
-        Sim.at v.sh_sim m.ms_time (fun () -> Node.receive node ~in_port:port pkt))
-      sorted;
     t.t_mail_in.(s) := !(t.t_mail_in.(s)) + !msgs;
     t.t_mail_spill.(s) := !(t.t_mail_spill.(s)) + !spill;
     dom_msgs.(d) <- dom_msgs.(d) + !msgs;

@@ -48,55 +48,69 @@ let zipf ?(alpha = 1.1) t ~n =
     done;
     !lo + 1
 
+(* The periodic sources below register one handler each and re-post it
+   for every event, with the next event time in a one-cell float array:
+   a source event allocates no closure and boxes no float. *)
+let repost t id next ~stop arg =
+  if t.active && next.(0) < stop then begin
+    (Sim.stage t.sim).(0) <- next.(0);
+    ignore (Sim.post t.sim id arg : int)
+  end
+
 (** Constant bit rate: [rate_pps] packets per second in [start, stop). *)
 let cbr t ~rate_pps ~start ~stop ~send =
   let interval = 1. /. rate_pps in
-  let rec tick time =
-    if t.active && time < stop then begin
-      Sim.at t.sim time (fun () ->
-          if t.active then begin
-            send ();
-            tick (time +. interval)
-          end)
-    end
-  in
-  tick start
+  let next = [| start |] and id = ref 0 in
+  id :=
+    Sim.register t.sim (fun _ ->
+        if t.active then begin
+          send ();
+          next.(0) <- next.(0) +. interval;
+          repost t !id next ~stop 0
+        end);
+  repost t !id next ~stop 0
 
 (** Poisson arrivals with rate [lambda] events/second in [start, stop). *)
 let poisson t ~lambda ~start ~stop ~send =
-  let rec tick time =
-    if t.active && time < stop then
-      Sim.at t.sim time (fun () ->
-          if t.active then begin
-            send ();
-            tick (time +. exponential t ~mean:(1. /. lambda))
-          end)
-  in
-  tick (start +. exponential t ~mean:(1. /. lambda))
+  let next = [| start +. exponential t ~mean:(1. /. lambda) |] and id = ref 0 in
+  id :=
+    Sim.register t.sim (fun _ ->
+        if t.active then begin
+          send ();
+          next.(0) <- next.(0) +. exponential t ~mean:(1. /. lambda);
+          repost t !id next ~stop 0
+        end);
+  repost t !id next ~stop 0
 
 (** Markovian on/off source: CBR bursts at [rate_pps] with exponentially
     distributed on and off periods. *)
 let onoff t ~rate_pps ~mean_on ~mean_off ~start ~stop ~send =
   let interval = 1. /. rate_pps in
-  let rec on_phase time phase_end =
-    if t.active && time < stop then begin
-      if time < phase_end then
-        Sim.at t.sim time (fun () ->
-            if t.active then begin
-              send ();
-              on_phase (time +. interval) phase_end
-            end)
-      else off_phase time
+  (* [| next event time; end of the current on phase |]; an event's
+     argument says whether it sends or wakes an on phase *)
+  let cell = [| start; 0. |] and id = ref 0 in
+  let send_ev = 1 and wake_ev = 0 in
+  let on_phase () =
+    if t.active && cell.(0) < stop then begin
+      if cell.(0) < cell.(1) then repost t !id cell ~stop send_ev
+      else begin
+        cell.(0) <- cell.(0) +. exponential t ~mean:mean_off;
+        repost t !id cell ~stop wake_ev
+      end
     end
-  and off_phase time =
-    let wake = time +. exponential t ~mean:mean_off in
-    if t.active && wake < stop then
-      Sim.at t.sim wake (fun () ->
-          if t.active then
-            on_phase wake (wake +. exponential t ~mean:mean_on))
   in
-  Sim.at t.sim start (fun () ->
-      if t.active then on_phase start (start +. exponential t ~mean:mean_on))
+  id :=
+    Sim.register t.sim (fun ev ->
+        if t.active then begin
+          if ev = send_ev then begin
+            send ();
+            cell.(0) <- cell.(0) +. interval
+          end
+          else cell.(1) <- cell.(0) +. exponential t ~mean:mean_on;
+          on_phase ()
+        end);
+  (Sim.stage t.sim).(0) <- start;
+  ignore (Sim.post t.sim !id wake_ev : int)
 
 (** Poisson flow arrivals with bounded-Pareto sizes (packets per flow). *)
 let flow_arrivals t ~lambda ~alpha ~min_packets ~max_packets ~start ~stop
@@ -142,13 +156,16 @@ let ramp t ~peak_pps ~start ~ramp_up ~hold ~ramp_down ~send =
 
 (* Packet factories ------------------------------------------------- *)
 
+(* Non-optional constructors and one boxed address each for the
+   ethernet and ipv4 headers: nothing allocated but the packet. *)
 let tcp_packet ?(size = 1000) ?(flags = Packet.tcp_flag_ack) ~src ~dst ~sport
     ~dport ~born () =
-  Packet.create ~size ~born
-    [ Packet.ethernet ~src:(Int64.of_int src) ~dst:(Int64.of_int dst) ();
-      Packet.ipv4 ~src:(Int64.of_int src) ~dst:(Int64.of_int dst) ~proto:6L ();
-      Packet.tcp ~sport:(Int64.of_int sport) ~dport:(Int64.of_int dport) ~flags
-        () ]
+  let src = Int64.of_int src and dst = Int64.of_int dst in
+  Packet.v ~size ~born
+    [ Packet.ethernet ~src ~dst ();
+      Packet.ipv4 ~src ~dst ();
+      Packet.tcp_v ~sport:(Int64.of_int sport) ~dport:(Int64.of_int dport)
+        ~seqno:0L ~ackno:0L ~flags ]
 
 (** SYN packet with a spoofed random source, as emitted by flood attacks. *)
 let spoofed_syn t ~dst ~dport ~born =

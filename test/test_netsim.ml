@@ -7,11 +7,7 @@ let check_int = Alcotest.(check int)
 
 let test_eq_ordering () =
   let q = Netsim.Event_queue.create () in
-  let out = ref [] in
-  let ev time seq =
-    Netsim.Event_queue.push q ~time ~seq (fun () ->
-        out := Netsim.Event_queue.min_time q :: !out)
-  in
+  let ev time seq = Netsim.Event_queue.push q ~time ~seq seq in
   ev 3.0 1;
   ev 1.0 2;
   ev 2.0 3;
@@ -19,7 +15,7 @@ let test_eq_ordering () =
   let rec drain () =
     if not (Netsim.Event_queue.is_empty q) then begin
       times := Netsim.Event_queue.min_time q :: !times;
-      ignore (Netsim.Event_queue.pop_exn q : unit -> unit);
+      ignore (Netsim.Event_queue.pop_exn q : int);
       drain ()
     end
   in
@@ -30,11 +26,11 @@ let test_eq_tiebreak () =
   let q = Netsim.Event_queue.create () in
   let order = ref [] in
   for i = 1 to 50 do
-    Netsim.Event_queue.push q ~time:1.0 ~seq:i (fun () -> order := i :: !order)
+    Netsim.Event_queue.push q ~time:1.0 ~seq:i i
   done;
   let rec drain () =
     if not (Netsim.Event_queue.is_empty q) then begin
-      (Netsim.Event_queue.pop_exn q) ();
+      order := Netsim.Event_queue.pop_exn q :: !order;
       drain ()
     end
   in
@@ -45,7 +41,7 @@ let test_eq_tiebreak () =
 let test_eq_grows () =
   let q = Netsim.Event_queue.create () in
   for i = 0 to 999 do
-    Netsim.Event_queue.push q ~time:(float_of_int (999 - i)) ~seq:i ignore
+    Netsim.Event_queue.push q ~time:(float_of_int (999 - i)) ~seq:i i
   done;
   check_int "length" 1000 (Netsim.Event_queue.length q);
   let last = ref (-1.) in
@@ -53,7 +49,7 @@ let test_eq_grows () =
   let rec drain () =
     if not (Netsim.Event_queue.is_empty q) then begin
       let time = Netsim.Event_queue.min_time q in
-      ignore (Netsim.Event_queue.pop_exn q : unit -> unit);
+      ignore (Netsim.Event_queue.pop_exn q : int);
       if time < !last then ok := false;
       last := time;
       drain ()
@@ -69,7 +65,7 @@ let test_eq_empty_pop () =
     (Netsim.Event_queue.min_time q);
   Alcotest.check_raises "pop of empty raises"
     (Invalid_argument "Event_queue.pop_exn: empty queue") (fun () ->
-      ignore (Netsim.Event_queue.pop_exn q : unit -> unit))
+      ignore (Netsim.Event_queue.pop_exn q : int))
 
 (* Model-based qcheck property: under arbitrary interleavings of pushes
    and pops — with timestamps drawn from a tiny range so duplicates are
@@ -88,10 +84,11 @@ let prop_eq_interleaved_fifo =
       let model = ref [] in
       (* pending (time, seq), unsorted *)
       let seq = ref 0 in
+      let ids = Hashtbl.create 16 in (* code -> (time, seq) *)
       let ok = ref true in
       let do_pop () =
         let reported = Netsim.Event_queue.min_time q in
-        (Netsim.Event_queue.pop_exn q) ();
+        popped := Hashtbl.find ids (Netsim.Event_queue.pop_exn q);
         let min =
           List.fold_left Stdlib.min (List.hd !model) (List.tl !model)
         in
@@ -102,8 +99,8 @@ let prop_eq_interleaved_fifo =
         (fun (t, push) ->
           if push || !model = [] then begin
             let id = (float_of_int t, !seq) in
-            Netsim.Event_queue.push q ~time:(fst id) ~seq:!seq (fun () ->
-                popped := id);
+            Hashtbl.replace ids !seq id;
+            Netsim.Event_queue.push q ~time:(fst id) ~seq:!seq !seq;
             model := id :: !model;
             incr seq
           end
@@ -281,6 +278,221 @@ let test_link_down () =
     (Netsim.Link.transmit link (Netsim.Packet.create []));
   ignore (Netsim.Sim.run sim);
   check_int "nothing delivered" 0 !delivered
+
+(* A packet queued before a delay window arms, and departing inside it,
+   takes the extra delay: the delay is read at departure, not at
+   enqueue. One queued when the window clears, and departing after it,
+   does not. *)
+let test_link_delay_read_at_departure () =
+  let sim = Netsim.Sim.create () in
+  let arrivals = ref [] in
+  let link =
+    Netsim.Link.create ~sim ~name:"l" ~bandwidth:8e6 ~delay:0.001
+      ~deliver:(fun pkt ->
+        arrivals := (pkt.Netsim.Packet.born, Netsim.Sim.now sim) :: !arrivals)
+      ()
+  in
+  (* 1000 bytes at 8 Mbps: departures at 1, 2, 3 and 4 ms *)
+  for i = 1 to 4 do
+    ignore
+      (Netsim.Link.transmit link
+         (Netsim.Packet.create ~size:1000 ~born:(float_of_int i) []))
+  done;
+  Netsim.Sim.at sim 0.0015 (fun () -> Netsim.Link.set_extra_delay link 0.010);
+  Netsim.Sim.at sim 0.0025 (fun () -> Netsim.Link.set_extra_delay link 0.);
+  ignore (Netsim.Sim.run sim);
+  Alcotest.(check (list (pair (float 0.) (float 1e-12))))
+    "only the packet departing inside the window is delayed"
+    [ (1., 0.002); (3., 0.004); (4., 0.005); (2., 0.013) ]
+    (List.rev !arrivals);
+  check_int "cancelled arrivals are not pending" 0
+    (Netsim.Sim.pending sim);
+  Alcotest.(check (float 1e-12)) "clock stops at the last delivery" 0.013
+    (Netsim.Sim.now sim)
+
+(* One hop — a transmit and its arrival event — allocates nothing once
+   the link's ring and slab and the simulation's event slab are warm.
+   The two-event model allocated 23 words a hop: two closures, the
+   boxed departure and arrival times, and the boxed clock per event. *)
+let test_link_hop_allocates_nothing () =
+  let sim = Netsim.Sim.create () in
+  let delivered = ref 0 in
+  let link =
+    Netsim.Link.create ~sim ~name:"l" ~deliver:(fun _ -> incr delivered) ()
+  in
+  let pkt =
+    Netsim.Packet.create ~size:1000 [ Netsim.Packet.ipv4 ~src:1L ~dst:2L () ]
+  in
+  let hops n =
+    for _ = 1 to n do
+      ignore (Netsim.Link.transmit link pkt : bool);
+      ignore (Netsim.Sim.run sim : int)
+    done
+  in
+  hops 16;
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  hops n;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  check_int "every hop delivered" (n + 16) !delivered;
+  if Sys.backend_type = Sys.Native then
+    Alcotest.(check (float 0.)) "minor words per hop" 0. words
+
+(* Differential against the two-event model it replaced ([Ref_link]):
+   random bandwidths, capacities, ECN thresholds and send schedules, with
+   loss, extra-delay and down windows. Both models see the same events in
+   separate simulations run in the same slices; they must agree on
+   accept/drop, ECN marks, arrival times, the depth read before each
+   enqueue, the registry counters between slices (read without any
+   accessor, so only the end-of-run settle can have counted them), the
+   mean depth, the end counters and the final clock. Times are drawn
+   from a continuum: an exact tie between a departure and another event
+   is the one place the two may order differently. *)
+type window = Loss of float | Delay of float | Down
+
+type case = {
+  bandwidth : float;
+  delay : float;
+  capacity : int;
+  ecn : int;
+  sends : (float * int) list; (* time, size *)
+  windows : (window * float * float) list; (* start, length *)
+}
+
+let case_gen =
+  QCheck.Gen.(
+    let time = float_bound_inclusive 0.02 in
+    let window =
+      triple
+        (oneof
+           [ map (fun p -> Loss p) (float_bound_inclusive 0.8);
+             map (fun d -> Delay d) (float_bound_inclusive 0.003);
+             return Down ])
+        time (float_bound_inclusive 0.01)
+    in
+    map
+      (fun ((bandwidth, delay, capacity, ecn), (sends, windows)) ->
+        { bandwidth; delay; capacity; ecn; sends; windows })
+      (pair
+         (quad (float_range 2e5 2e7) (float_bound_inclusive 0.002)
+            (int_range 1 8) (int_bound 4))
+         (pair
+            (list_size (int_range 1 60) (pair time (int_range 40 1500)))
+            (list_size (int_bound 3) window))))
+
+let case_print c =
+  Printf.sprintf "bw=%g delay=%g cap=%d ecn=%d sends=[%s] windows=[%s]"
+    c.bandwidth c.delay c.capacity c.ecn
+    (String.concat ";"
+       (List.map (fun (t, s) -> Printf.sprintf "%g:%d" t s) c.sends))
+    (String.concat ";"
+       (List.map
+          (fun (w, at, len) ->
+            let k =
+              match w with
+              | Loss p -> Printf.sprintf "loss %g" p
+              | Delay d -> Printf.sprintf "delay %g" d
+              | Down -> "down"
+            in
+            Printf.sprintf "%s@%g+%g" k at len)
+          c.windows))
+
+(* What one model did, in the order it happened. *)
+type trace = {
+  mutable log : string list;
+  mutable slices : (int * int) list;
+}
+
+type model = {
+  transmit : Netsim.Packet.t -> bool;
+  depth : unit -> int;
+  set_up : bool -> unit;
+  set_loss : Random.State.t -> float -> unit;
+  set_extra_delay : float -> unit;
+  counters : unit -> int * int; (* tx_packets, tx_bytes, between runs *)
+  final : unit -> int * int * int * int * int * float;
+}
+
+let new_model sim ~deliver c =
+  let l =
+    Netsim.Link.create ~sim ~name:"l" ~bandwidth:c.bandwidth ~delay:c.delay
+      ~queue_capacity:c.capacity ~ecn_threshold:c.ecn ~deliver ()
+  in
+  let reg = Obs.Scope.metrics (Netsim.Sim.obs sim) in
+  let labels = [ ("link", "l") ] in
+  let tx = Obs.Metrics.counter reg ~labels "link.tx_packets" in
+  let bytes = Obs.Metrics.counter reg ~labels "link.tx_bytes" in
+  { transmit = Netsim.Link.transmit l;
+    depth = (fun () -> Netsim.Link.depth l);
+    set_up = Netsim.Link.set_up l;
+    set_loss = (fun rng p -> Netsim.Link.set_loss l ~rng p);
+    set_extra_delay = Netsim.Link.set_extra_delay l;
+    counters = (fun () -> (!tx, !bytes));
+    final =
+      (fun () ->
+        Netsim.Link.
+          ( tx_packets l, tx_bytes l, drops l, fault_drops l, ecn_marks l,
+            mean_depth l )) }
+
+let ref_model sim ~deliver c =
+  let l =
+    Ref_link.create ~sim ~bandwidth:c.bandwidth ~delay:c.delay
+      ~queue_capacity:c.capacity ~ecn_threshold:c.ecn ~deliver
+  in
+  { transmit = Ref_link.transmit l;
+    depth = (fun () -> l.Ref_link.depth);
+    set_up = Ref_link.set_up l;
+    set_loss = (fun rng p -> Ref_link.set_loss l ~rng p);
+    set_extra_delay = Ref_link.set_extra_delay l;
+    counters = (fun () -> (l.Ref_link.tx_packets, l.Ref_link.tx_bytes));
+    final =
+      (fun () ->
+        Ref_link.
+          ( l.tx_packets, l.tx_bytes, l.drops, l.fault_drops, l.ecn_marks,
+            mean_depth l )) }
+
+let run_model make c =
+  let sim = Netsim.Sim.create () in
+  let tr = { log = []; slices = [] } in
+  let say fmt = Printf.ksprintf (fun s -> tr.log <- s :: tr.log) fmt in
+  let deliver pkt =
+    say "arrive %g at %h ecn %Ld" pkt.Netsim.Packet.born (Netsim.Sim.now sim)
+      (Netsim.Packet.field_default pkt "ipv4" "ecn" 0L)
+  in
+  let m = make sim ~deliver c in
+  let rng = Random.State.make [| 42 |] in
+  List.iteri
+    (fun i (time, size) ->
+      Netsim.Sim.at sim time (fun () ->
+          let pkt =
+            Netsim.Packet.create ~size ~born:(float_of_int i)
+              [ Netsim.Packet.ipv4 ~src:1L ~dst:2L () ]
+          in
+          let depth = m.depth () in
+          say "send %d depth %d -> %b" i depth (m.transmit pkt)))
+    c.sends;
+  List.iter
+    (fun (w, at, len) ->
+      let on, off =
+        match w with
+        | Loss p -> ((fun () -> m.set_loss rng p), fun () -> m.set_loss rng 0.)
+        | Delay d -> ((fun () -> m.set_extra_delay d), fun () -> m.set_extra_delay 0.)
+        | Down -> ((fun () -> m.set_up false), fun () -> m.set_up true)
+      in
+      Netsim.Sim.at sim at on;
+      Netsim.Sim.at sim (at +. len) off)
+    c.windows;
+  for k = 1 to 40 do
+    ignore (Netsim.Sim.run ~until:(float_of_int k *. 0.001) sim : int);
+    tr.slices <- m.counters () :: tr.slices
+  done;
+  ignore (Netsim.Sim.run sim : int);
+  (List.rev tr.log, List.rev tr.slices, m.final (), Netsim.Sim.now sim)
+
+let prop_link_matches_two_event_model =
+  QCheck.Test.make ~name:"link: one-event hop = two-event model" ~count:300
+    (QCheck.make ~print:case_print case_gen)
+    (fun c -> run_model new_model c = run_model ref_model c)
 
 (* -- Topology --------------------------------------------------------------- *)
 
@@ -581,7 +793,14 @@ let () =
         [ Alcotest.test_case "delivery timing" `Quick test_link_delivery_timing;
           Alcotest.test_case "queue drops" `Quick test_link_queue_drops;
           Alcotest.test_case "ecn marking" `Quick test_link_ecn_marking;
-          Alcotest.test_case "link down" `Quick test_link_down ] );
+          Alcotest.test_case "link down" `Quick test_link_down;
+          Alcotest.test_case "delay read at departure" `Quick
+            test_link_delay_read_at_departure;
+          Alcotest.test_case "hop allocates nothing" `Quick
+            test_link_hop_allocates_nothing;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 0x11c |])
+            prop_link_matches_two_event_model ] );
       ( "topology",
         [ Alcotest.test_case "linear path" `Quick test_linear_path;
           Alcotest.test_case "forwarding" `Quick test_forwarding_delivers;

@@ -17,13 +17,13 @@ let prop_event_queue_sorted =
     (fun times ->
       let q = Netsim.Event_queue.create () in
       List.iteri
-        (fun i time -> Netsim.Event_queue.push q ~time ~seq:i ignore)
+        (fun i time -> Netsim.Event_queue.push q ~time ~seq:i i)
         times;
       let rec drain acc =
         if Netsim.Event_queue.is_empty q then List.rev acc
         else begin
           let time = Netsim.Event_queue.min_time q in
-          ignore (Netsim.Event_queue.pop_exn q : unit -> unit);
+          ignore (Netsim.Event_queue.pop_exn q : int);
           drain (time :: acc)
         end
       in
