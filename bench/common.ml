@@ -2,6 +2,18 @@
 
 open Flexbpf.Builder
 
+(* Where an experiment writes its JSON record: the checked-in file in a
+   full-scale run, under [_smoke/] (git-ignored) in a smoke run, so a
+   smoke gate leaves the full-scale records alone. *)
+let smoke_dir = "_smoke"
+
+let record_path ~smoke file =
+  if not smoke then file
+  else begin
+    if not (Sys.file_exists smoke_dir) then Sys.mkdir smoke_dir 0o755;
+    Filename.concat smoke_dir file
+  end
+
 (* Whole-stack compile path used by the placement experiments. *)
 let mk_path ?(arch = Targets.Arch.Drmt) ?(switches = 3) () =
   [ Targets.Device.create ~id:"h0" Targets.Arch.host_ebpf;

@@ -15,9 +15,9 @@
    smoke configuration (E16_SMOKE=1: k = 4, shorter horizon, domains
    {1,2}).
 
-   Results land in BENCH_e16.json for the CI artifact. *)
+   Results land in BENCH_e16.json, or _smoke/BENCH_e16.json in
+   a smoke run, for the CI artifact. *)
 
-let out_file = "BENCH_e16.json"
 
 type cfg = {
   c_k : int;
@@ -28,6 +28,8 @@ type cfg = {
 }
 
 let smoke () = Sys.getenv_opt "E16_SMOKE" <> None
+
+let out_file () = Common.record_path ~smoke:(smoke ()) "BENCH_e16.json"
 
 let domain_counts ~default () =
   match Sys.getenv_opt "E16_DOMAINS" with
@@ -224,9 +226,9 @@ let run () =
     cfg.c_k switches hosts;
   Printf.printf "deterministic across domain counts: %s\n"
     (if deterministic then "yes" else "NO — exports diverge");
-  write_json out_file cfg ~net_facts:(cfg.c_k, switches, hosts) ~outcomes
+  write_json (out_file ()) cfg ~net_facts:(cfg.c_k, switches, hosts) ~outcomes
     ~deterministic ~recommended;
-  Printf.printf "wrote %s\n%!" out_file;
+  Printf.printf "wrote %s\n%!" (out_file ());
   if not deterministic then begin
     (* show the first diverging line to make CI failures actionable *)
     let bad =

@@ -21,11 +21,11 @@
    - device-tier hit rate at 10% capacity >= 0.90 (0.85 smoke);
    - tiered p99 batch ns/pkt at 10% capacity <= 10x the flat average.
 
-   Results land in BENCH_e17.json for the CI artifact. *)
+   Results land in BENCH_e17.json, or _smoke/BENCH_e17.json in
+   a smoke run, for the CI artifact. *)
 
 open Flexbpf.Builder
 
-let out_file = "BENCH_e17.json"
 
 type cfg = {
   c_rules : int; (* logical rule count N *)
@@ -36,6 +36,8 @@ type cfg = {
 }
 
 let smoke () = Sys.getenv_opt "E17_SMOKE" <> None
+
+let out_file () = Common.record_path ~smoke:(smoke ()) "BENCH_e17.json"
 
 let config () =
   if smoke () then
@@ -207,8 +209,8 @@ let run () =
      @ [ [ "flat"; "100%"; "-"; "-"; "-"; "-";
            Printf.sprintf "%.0f" flat.r_ns_per_pkt;
            Printf.sprintf "%.0f" flat.r_p99_ns; "1.00x" ] ]);
-  write_json out_file cfg ~flat ~rows;
-  Printf.printf "wrote %s\n%!" out_file;
+  write_json (out_file ()) cfg ~flat ~rows;
+  Printf.printf "wrote %s\n%!" (out_file ());
   (* hard gates on the 10% capacity row *)
   let ten =
     List.find

@@ -28,9 +28,9 @@
    - mean steady-state utilization of the large market run >= the
      threshold baseline's.
 
-   Results land in BENCH_e18.json for the CI artifact. *)
+   Results land in BENCH_e18.json, or _smoke/BENCH_e18.json in
+   a smoke run, for the CI artifact. *)
 
-let out_file = "BENCH_e18.json"
 
 type cfg = {
   c_small : int; (* arrivals in the yardstick run *)
@@ -42,6 +42,8 @@ type cfg = {
 }
 
 let smoke () = Sys.getenv_opt "E18_SMOKE" <> None
+
+let out_file () = Common.record_path ~smoke:(smoke ()) "BENCH_e18.json"
 
 let config () =
   if smoke () then
@@ -123,7 +125,7 @@ let run () =
   let lat_floor = 2. *. Float.max small.Common.ch_lat_p99 5.0 in
   let lat_ok = large.Common.ch_lat_p99 <= lat_floor in
   let util_ok = large.Common.ch_mean_util >= base.Common.ch_mean_util in
-  let oc = open_out out_file in
+  let oc = open_out (out_file ()) in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc
     "  \"smoke\": %b,\n  \"lambda\": %g,\n  \"arrivals_small\": %d,\n\
@@ -145,7 +147,7 @@ let run () =
     large.Common.ch_mean_util base.Common.ch_mean_util util_ok;
   Printf.fprintf oc "}\n";
   close_out oc;
-  Printf.printf "wrote %s\n" out_file;
+  Printf.printf "wrote %s\n" (out_file ());
   Printf.printf "gate: p99 %.2f ms at %d arrivals vs limit %.2f (2x max(p99@%d, 5ms)) %s\n"
     large.Common.ch_lat_p99 cfg.c_large lat_floor cfg.c_small
     (if lat_ok then "PASS" else "FAIL");

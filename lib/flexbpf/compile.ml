@@ -10,7 +10,9 @@
     hardware would do:
 
     - expressions and statements become [pkt -> args -> ...] thunks with
-      the AST dispatch paid at compile time;
+      the AST dispatch paid at compile time; expressions pass values
+      through a register file of unboxed words, and keys are word
+      slices of it, so neither boxes;
     - action parameters are resolved to array slots instead of
       [List.assoc]; rule arguments are bound into the action closure at
       index-build time;
@@ -21,7 +23,7 @@
     - header/field reads cache the resolved header per header-stack
       identity, so repeated reads walk the stack once per packet;
     - parser acceptance is memoised on the packet's shape string;
-    - the loop variable is staged into a cell when the body provably
+    - the loop variable is staged into a word when the body provably
       never observes the [_loop_i] metadata through other channels;
     - rule matching becomes an index maintained per rules-generation:
       tables whose installed rules are all-exact get a hash index keyed
@@ -42,14 +44,12 @@ open Ast
 let error fmt = Printf.ksprintf (fun s -> raise (Interp.Eval_error s)) fmt
 
 (* Compiled forms. Closures take the action-argument array so one
-   compiled body serves every rule of an action; blocks pass [no_args]. *)
-type cexpr = Netsim.Packet.t -> int64 array -> int64
+   compiled body serves every rule of an action; blocks pass [no_args].
+   An expression leaves its value in the register file (below). *)
+type cexpr = Netsim.Packet.t -> int64 array -> unit
 type cstmt = Netsim.Packet.t -> int64 array -> Interp.verdict -> unit
 
 let no_args : int64 array = [||]
-
-let truthy v = v <> 0L
-let of_bool b = if b then 1L else 0L
 
 (* -- Cached handles ----------------------------------------------------
 
@@ -173,11 +173,6 @@ let field_cell fc hname fname pkt ~hdr_err ~fld_err =
       c
     end
 
-let compile_field hname fname : cexpr =
-  let fc = fcache () in
-  let err () = error "packet lacks %s.%s" hname fname in
-  fun pkt _ -> !(field_cell fc hname fname pkt ~hdr_err:err ~fld_err:err)
-
 (* Per-site cache of a metadata key's cell. Meta cells are append-only
    (no code removes a key), so once resolved for a packet the cell
    stays the binding for that packet's whole lifetime; the only check
@@ -197,62 +192,140 @@ let mcell_set mc key (pkt : Netsim.Packet.t) v =
   end;
   mc.mm_cell := v
 
+(* -- Register file -------------------------------------------------------
+
+   Every compiled element (table or block) owns one [Bytes] register
+   file. Each expression node, key word, staged loop variable and
+   hoisted field read has its own word in it, fixed at compile time.
+   Operands are read and results written with the unboxed 64-bit
+   primitives, so arithmetic, hashes and map reads make no box; a box
+   is made only where a value leaves into an [int64 ref] (a field or
+   metadata write, the loop variable's publication). A file per
+   element, not per program, lets an element reused by a recompile
+   keep its closures and their file. *)
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Words an element can use: at most two per expression node (its own
+   word, or its key word, plus a hoisted slot for a field read) and one
+   per loop. *)
+let rec expr_nodes = function
+  | Const _ | Field _ | Meta _ | Param _ | Time -> 1
+  | Map_get (_, es) | Hash (_, es) -> 1 + exprs_nodes es
+  | Bin (_, a, b) -> 1 + expr_nodes a + expr_nodes b
+  | Un (_, e) -> 1 + expr_nodes e
+
+and exprs_nodes es = List.fold_left (fun n e -> n + expr_nodes e) 0 es
+
+let rec stmt_words = function
+  | Nop | Drop | Punt _ | Push_header _ | Pop_header _ -> 0
+  | Set_field (_, _, e) | Set_meta (_, e) | Forward e -> 2 * expr_nodes e
+  | Map_put (_, ks, e) | Map_incr (_, ks, e) -> 2 * (exprs_nodes ks + expr_nodes e)
+  | Map_del (_, ks) | Call (_, ks) -> 2 * exprs_nodes ks
+  | If (c, th, el) -> (2 * expr_nodes c) + stmts_words th + stmts_words el
+  | Loop (_, body) -> 1 + stmts_words body
+
+and stmts_words ss = List.fold_left (fun n s -> n + stmt_words s) 0 ss
+
+type regs = { rf : Bytes.t; mutable next : int }
+
+let regs words = { rf = Bytes.make (8 * max 1 words) '\000'; next = 0 }
+
 (* -- Expressions ------------------------------------------------------ *)
 
 (* [cparams] is the enclosing action's parameter list; a parameter
    compiles to its first slot (matching [List.assoc] on the combined
    list), an unbound one to a thunk raising the interpreter's error.
-   [cloop] is the innermost staged loop variable, when the loop body
-   qualifies (see [loop_substitutable]). *)
+   [cloop] is the word of the innermost staged loop variable, when the
+   loop body qualifies (see [loop_substitutable]); [chslots] the words
+   of its hoisted field reads. *)
 type cctx = {
   cenv : Interp.env;
   cparams : string list;
-  cloop : int64 ref option;
+  cloop : int option;
   chslots : ((string * string) * int) list;
-    (* loop-invariant field reads hoisted to slots (see [leading_fields]) *)
-  charr : int64 ref array; (* the slots, filled at loop entry *)
+    (* loop-invariant field reads hoisted to words (see [leading_fields]) *)
+  cregs : regs;
 }
 
-(* An operand that reduces to a plain cell read in this context — a
-   hoisted field slot, the staged loop variable, or a constant. Such
-   operands are pure and fault-free, so a consumer may fuse them
-   without closure calls and in any order. *)
-let operand_ref ctx = function
-  | Meta m ->
-    (match ctx.cloop with
-     | Some cell when String.equal m "_loop_i" -> Some cell
-     | _ -> None)
-  | Field (h, f) ->
-    (match List.assoc_opt (h, f) ctx.chslots with
-     | Some i -> Some ctx.charr.(i)
-     | None -> None)
-  | Const v -> Some (ref v)
+let context env words =
+  { cenv = env; cparams = []; cloop = None; chslots = []; cregs = regs words }
+
+(* [n] consecutive fresh words; the first one's index. *)
+let alloc ctx n =
+  let r = ctx.cregs in
+  let i = r.next in
+  if i + n > Bytes.length r.rf / 8 then invalid_arg "Compile: register file";
+  r.next <- i + n;
+  i
+
+let nop : cexpr = fun _ _ -> ()
+
+(* Run the non-[nop] codes left to right. *)
+let seq (cs : cexpr list) : cexpr =
+  match List.filter (fun c -> c != nop) cs with
+  | [] -> nop
+  | [ a ] -> a
+  | [ a; b ] -> fun pkt args -> a pkt args; b pkt args
+  | [ a; b; c ] -> fun pkt args -> a pkt args; b pkt args; c pkt args
+  | cs ->
+    let arr = Array.of_list cs in
+    fun pkt args ->
+      for i = 0 to Array.length arr - 1 do
+        arr.(i) pkt args
+      done
+
+(* An operand: after [code] runs (nothing to run when it is [nop]),
+   its value is at byte [at] of the register file. *)
+type operand = { code : cexpr; at : int }
+
+(* The word an expression already occupies in this context: the staged
+   loop variable or a hoisted field slot. Pure and fault-free, so a
+   consumer may read it in any order. *)
+let cell_of ctx = function
+  | Meta "_loop_i" -> ctx.cloop
+  | Field (h, f) -> List.assoc_opt (h, f) ctx.chslots
   | _ -> None
 
-let operand_refs ctx es =
-  let rec go acc = function
-    | [] -> Some (Array.of_list (List.rev acc))
-    | e :: tl ->
-      (match operand_ref ctx e with
-       | Some r -> go (r :: acc) tl
-       | None -> None)
-  in
-  go [] es
+let hash_prime = Interp.hash_prime
+let[@inline] step h (v : int64) = (h lxor Int64.to_int v) * hash_prime
 
-let rec compile_expr ctx (e : expr) : cexpr =
-  let env = ctx.cenv in
+(* The hash fold over operand words, left to right. *)
+let hash_fold r (at : int array) =
+  let h = ref Interp.hash_init in
+  for i = 0 to Array.length at - 1 do
+    h := step !h (get r (Array.unsafe_get at i))
+  done;
+  !h
+
+let field_into r o hname fname : cexpr =
+  let fc = fcache () in
+  let err () = error "packet lacks %s.%s" hname fname in
+  fun pkt _ -> set r o !(field_cell fc hname fname pkt ~hdr_err:err ~fld_err:err)
+
+let rec operand ctx (e : expr) : operand =
+  match cell_of ctx e with
+  | Some w -> { code = nop; at = 8 * w }
+  | None ->
+    let d = alloc ctx 1 in
+    { code = compile_into ctx e d; at = 8 * d }
+
+(* Code leaving [e]'s value at word [d]. Constants are written once,
+   here: nothing else writes their word. *)
+and compile_into ctx (e : expr) d : cexpr =
+  let env = ctx.cenv and r = ctx.cregs.rf and o = 8 * d in
+  match (cell_of ctx e, e) with
+  | Some w, _ ->
+    let s = 8 * w in
+    fun _ _ -> set r o (get r s)
+  | None, e ->
   match e with
-  | Const v -> fun _ _ -> v
-  | Field (h, f) ->
-    (match List.assoc_opt (h, f) ctx.chslots with
-     | Some i ->
-       let cell = ctx.charr.(i) in
-       fun _ _ -> !cell
-     | None -> compile_field h f)
-  | Meta m ->
-    (match ctx.cloop with
-     | Some cell when String.equal m "_loop_i" -> fun _ _ -> !cell
-     | _ -> fun pkt _ -> Netsim.Packet.meta_default pkt m 0L)
+  | Const v ->
+    set r o v;
+    nop
+  | Field (h, f) -> field_into r o h f
+  | Meta m -> fun pkt _ -> set r o (Netsim.Packet.meta_default pkt m 0L)
   | Param p ->
     let rec slot i = function
       | [] -> None
@@ -260,20 +333,34 @@ let rec compile_expr ctx (e : expr) : cexpr =
       | _ :: tl -> slot (i + 1) tl
     in
     (match slot 0 ctx.cparams with
-     | Some i -> fun _ args -> args.(i)
+     | Some i -> fun _ args -> set r o args.(i)
      | None -> fun _ _ -> error "unbound parameter $%s" p)
   | Map_get (m, keys) ->
     let mc = mcache m in
-    let ckeys = compile_keys ctx keys in
-    fun pkt args -> State.get (mc_state env mc) (ckeys pkt args)
+    let ck, k, n = compile_keys ctx keys in
+    fun pkt args ->
+      ck pkt args;
+      State.read (mc_state env mc) r k n d
   | Bin (Land, a, b) ->
-    let ca = compile_expr ctx a and cb = compile_expr ctx b in
+    let a = operand ctx a and b = operand ctx b in
+    let ca = a.code and x = a.at and cb = b.code and y = b.at in
     fun pkt args ->
-      if truthy (ca pkt args) then of_bool (truthy (cb pkt args)) else 0L
+      ca pkt args;
+      if Int64.equal (get r x) 0L then set r o 0L
+      else begin
+        cb pkt args;
+        set r o (if Int64.equal (get r y) 0L then 0L else 1L)
+      end
   | Bin (Lor, a, b) ->
-    let ca = compile_expr ctx a and cb = compile_expr ctx b in
+    let a = operand ctx a and b = operand ctx b in
+    let ca = a.code and x = a.at and cb = b.code and y = b.at in
     fun pkt args ->
-      if truthy (ca pkt args) then 1L else of_bool (truthy (cb pkt args))
+      ca pkt args;
+      if not (Int64.equal (get r x) 0L) then set r o 1L
+      else begin
+        cb pkt args;
+        set r o (if Int64.equal (get r y) 0L then 0L else 1L)
+      end
   | Bin (Mod, Hash (alg, es), Const w)
     when (match (alg, es) with Identity, [ _ ] -> false | _ -> true)
          && (not (Int64.equal w 0L))
@@ -282,227 +369,170 @@ let rec compile_expr ctx (e : expr) : cexpr =
        sketch-column idiom). The interpreter computes
        [Int64.rem (of_int (finish h)) w]; the finished value is
        non-negative and int-sized and [w] is int-exact, so the native
-       [mod] agrees and only the final result is boxed. *)
+       [mod] agrees. *)
     let wi = Int64.to_int w in
-    (match (operand_refs ctx es, alg) with
-     (* all operands are cell reads (hoisted fields / staged loop var /
-        constants): one closure, no operand calls — the sketch-row
-        idiom [hash(i, flow...) mod width] inside a compiled loop *)
-     | Some [| a; b; c; d |], (Crc32 | Identity) ->
+    let ops = List.map (operand ctx) es in
+    let pre = seq (List.map (fun o -> o.code) ops) in
+    let at = Array.of_list (List.map (fun o -> o.at) ops) in
+    (match (alg, at) with
+     (* all operands are cells (hoisted fields, the staged loop
+        variable, constants): one closure, no operand calls — the
+        sketch-row idiom [hash(i, flow...) mod width] in a compiled
+        loop *)
+     | (Crc32 | Identity), [| a; b; c; x |] when pre == nop ->
        fun _ _ ->
-         let h = Interp.hash_step Interp.hash_init !a in
-         let h = Interp.hash_step h !b in
-         let h = Interp.hash_step h !c in
-         let h = Interp.hash_step h !d in
-         Int64.of_int ((Interp.hash_mix h land 0x7FFFFFFF) mod wi)
-     | Some [| a; b; c |], (Crc32 | Identity) ->
+         let h = step Interp.hash_init (get r a) in
+         let h = step h (get r b) in
+         let h = step h (get r c) in
+         let h = step h (get r x) in
+         set r o (Int64.of_int ((Interp.hash_mix h land 0x7FFFFFFF) mod wi))
+     | (Crc32 | Identity), [| a; b; c |] when pre == nop ->
        fun _ _ ->
-         let h = Interp.hash_step Interp.hash_init !a in
-         let h = Interp.hash_step h !b in
-         let h = Interp.hash_step h !c in
-         Int64.of_int ((Interp.hash_mix h land 0x7FFFFFFF) mod wi)
-     | _ ->
-       let fold = hash_folder (compile_exprs ctx es) in
-       (match alg with
-        | Crc16 ->
-          fun pkt args ->
-            Int64.of_int
-              (((Interp.hash_mix (fold pkt args) lsr 16) land 0xFFFF) mod wi)
-        | Crc32 | Identity ->
-          fun pkt args ->
-            Int64.of_int
-              ((Interp.hash_mix (fold pkt args) land 0x7FFFFFFF) mod wi)))
-  | Bin (op, a, Const y) ->
-    (* constant right operand bound at compile time (pure, so hoisting
-       past the left operand is sound); div/mod still evaluate the left
-       operand for its faults before yielding the by-zero 0 *)
-    let ca = compile_expr ctx a in
-    (match op with
-     | Add -> fun pkt args -> Int64.add (ca pkt args) y
-     | Sub -> fun pkt args -> Int64.sub (ca pkt args) y
-     | Mul -> fun pkt args -> Int64.mul (ca pkt args) y
-     | Div ->
-       if Int64.equal y 0L then fun pkt args ->
-         let _ = ca pkt args in
-         0L
-       else fun pkt args -> Int64.div (ca pkt args) y
-     | Mod ->
-       if Int64.equal y 0L then fun pkt args ->
-         let _ = ca pkt args in
-         0L
-       else fun pkt args -> Int64.rem (ca pkt args) y
-     | Band -> fun pkt args -> Int64.logand (ca pkt args) y
-     | Bor -> fun pkt args -> Int64.logor (ca pkt args) y
-     | Bxor -> fun pkt args -> Int64.logxor (ca pkt args) y
-     | Shl ->
-       let s = Int64.to_int y land 63 in
-       fun pkt args -> Int64.shift_left (ca pkt args) s
-     | Shr ->
-       let s = Int64.to_int y land 63 in
-       fun pkt args -> Int64.shift_right_logical (ca pkt args) s
-     | Eq -> fun pkt args -> of_bool (Int64.equal (ca pkt args) y)
-     | Neq -> fun pkt args -> of_bool (not (Int64.equal (ca pkt args) y))
-     | Lt -> fun pkt args -> of_bool (Int64.compare (ca pkt args) y < 0)
-     | Le -> fun pkt args -> of_bool (Int64.compare (ca pkt args) y <= 0)
-     | Gt -> fun pkt args -> of_bool (Int64.compare (ca pkt args) y > 0)
-     | Ge -> fun pkt args -> of_bool (Int64.compare (ca pkt args) y >= 0)
-     | Land ->
-       let r = of_bool (truthy y) in
-       fun pkt args -> if truthy (ca pkt args) then r else 0L
-     | Lor ->
-       if truthy y then fun pkt args ->
-         let _ = ca pkt args in
-         1L
-       else fun pkt args -> of_bool (truthy (ca pkt args)))
+         let h = step Interp.hash_init (get r a) in
+         let h = step h (get r b) in
+         let h = step h (get r c) in
+         set r o (Int64.of_int ((Interp.hash_mix h land 0x7FFFFFFF) mod wi))
+     | Crc16, _ ->
+       fun pkt args ->
+         pre pkt args;
+         set r o
+           (Int64.of_int
+              (((Interp.hash_mix (hash_fold r at) lsr 16) land 0xFFFF) mod wi))
+     | (Crc32 | Identity), _ ->
+       fun pkt args ->
+         pre pkt args;
+         set r o
+           (Int64.of_int
+              ((Interp.hash_mix (hash_fold r at) land 0x7FFFFFFF) mod wi)))
   | Bin (op, a, b) ->
-    let ca = compile_expr ctx a and cb = compile_expr ctx b in
+    let a = operand ctx a and b = operand ctx b in
+    let pre = seq [ a.code; b.code ] and x = a.at and y = b.at in
     (* every operator specialised so no per-packet dispatch remains;
        left-to-right evaluation and div/mod-by-zero = 0 as in the
        interpreter *)
     (match op with
-     | Add -> fun pkt args ->
-         let x = ca pkt args in Int64.add x (cb pkt args)
-     | Sub -> fun pkt args ->
-         let x = ca pkt args in Int64.sub x (cb pkt args)
-     | Mul -> fun pkt args ->
-         let x = ca pkt args in Int64.mul x (cb pkt args)
-     | Div -> fun pkt args ->
-         let x = ca pkt args in
-         let y = cb pkt args in
-         if y = 0L then 0L else Int64.div x y
-     | Mod -> fun pkt args ->
-         let x = ca pkt args in
-         let y = cb pkt args in
-         if y = 0L then 0L else Int64.rem x y
-     | Band -> fun pkt args ->
-         let x = ca pkt args in Int64.logand x (cb pkt args)
-     | Bor -> fun pkt args ->
-         let x = ca pkt args in Int64.logor x (cb pkt args)
-     | Bxor -> fun pkt args ->
-         let x = ca pkt args in Int64.logxor x (cb pkt args)
-     | Shl -> fun pkt args ->
-         let x = ca pkt args in
-         Int64.shift_left x (Int64.to_int (cb pkt args) land 63)
-     | Shr -> fun pkt args ->
-         let x = ca pkt args in
-         Int64.shift_right_logical x (Int64.to_int (cb pkt args) land 63)
-     | Eq -> fun pkt args ->
-         let x = ca pkt args in of_bool (Int64.equal x (cb pkt args))
-     | Neq -> fun pkt args ->
-         let x = ca pkt args in of_bool (not (Int64.equal x (cb pkt args)))
-     | Lt -> fun pkt args ->
-         let x = ca pkt args in of_bool (Int64.compare x (cb pkt args) < 0)
-     | Le -> fun pkt args ->
-         let x = ca pkt args in of_bool (Int64.compare x (cb pkt args) <= 0)
-     | Gt -> fun pkt args ->
-         let x = ca pkt args in of_bool (Int64.compare x (cb pkt args) > 0)
-     | Ge -> fun pkt args ->
-         let x = ca pkt args in of_bool (Int64.compare x (cb pkt args) >= 0)
+     | Add -> fun pkt args -> pre pkt args; set r o (Int64.add (get r x) (get r y))
+     | Sub -> fun pkt args -> pre pkt args; set r o (Int64.sub (get r x) (get r y))
+     | Mul -> fun pkt args -> pre pkt args; set r o (Int64.mul (get r x) (get r y))
+     | Div ->
+       fun pkt args ->
+         pre pkt args;
+         let v = get r y in
+         if Int64.equal v 0L then set r o 0L else set r o (Int64.div (get r x) v)
+     | Mod ->
+       fun pkt args ->
+         pre pkt args;
+         let v = get r y in
+         if Int64.equal v 0L then set r o 0L else set r o (Int64.rem (get r x) v)
+     | Band ->
+       fun pkt args -> pre pkt args; set r o (Int64.logand (get r x) (get r y))
+     | Bor ->
+       fun pkt args -> pre pkt args; set r o (Int64.logor (get r x) (get r y))
+     | Bxor ->
+       fun pkt args -> pre pkt args; set r o (Int64.logxor (get r x) (get r y))
+     | Shl ->
+       fun pkt args ->
+         pre pkt args;
+         set r o (Int64.shift_left (get r x) (Int64.to_int (get r y) land 63))
+     | Shr ->
+       fun pkt args ->
+         pre pkt args;
+         set r o
+           (Int64.shift_right_logical (get r x) (Int64.to_int (get r y) land 63))
+     | Eq ->
+       fun pkt args ->
+         pre pkt args;
+         set r o (if Int64.equal (get r x) (get r y) then 1L else 0L)
+     | Neq ->
+       fun pkt args ->
+         pre pkt args;
+         set r o (if Int64.equal (get r x) (get r y) then 0L else 1L)
+     | Lt ->
+       fun pkt args ->
+         pre pkt args;
+         set r o (if Int64.compare (get r x) (get r y) < 0 then 1L else 0L)
+     | Le ->
+       fun pkt args ->
+         pre pkt args;
+         set r o (if Int64.compare (get r x) (get r y) <= 0 then 1L else 0L)
+     | Gt ->
+       fun pkt args ->
+         pre pkt args;
+         set r o (if Int64.compare (get r x) (get r y) > 0 then 1L else 0L)
+     | Ge ->
+       fun pkt args ->
+         pre pkt args;
+         set r o (if Int64.compare (get r x) (get r y) >= 0 then 1L else 0L)
      | Land | Lor -> assert false (* handled above *))
   | Un (op, e) ->
-    let ce = compile_expr ctx e in
+    let a = operand ctx e in
+    let c = a.code and x = a.at in
     (match op with
-     | Not -> fun pkt args -> of_bool (not (truthy (ce pkt args)))
-     | Neg -> fun pkt args -> Int64.neg (ce pkt args)
-     | Bnot -> fun pkt args -> Int64.lognot (ce pkt args))
+     | Not ->
+       fun pkt args ->
+         c pkt args;
+         set r o (if Int64.equal (get r x) 0L then 1L else 0L)
+     | Neg -> fun pkt args -> c pkt args; set r o (Int64.neg (get r x))
+     | Bnot -> fun pkt args -> c pkt args; set r o (Int64.lognot (get r x)))
+  | Hash (Identity, [ e ]) -> compile_into ctx e d
   | Hash (alg, es) ->
-    let ces = compile_exprs ctx es in
-    (match alg, ces with
-     | Identity, [| ce |] -> fun pkt args -> ce pkt args
-     | Crc16, _ ->
-       let fold = hash_folder ces in
-       fun pkt args -> Interp.crc16_finish (fold pkt args)
-     | (Crc32 | Identity), _ ->
-       let fold = hash_folder ces in
-       fun pkt args -> Interp.crc32_finish (fold pkt args))
-  | Time -> fun _ _ -> env.Interp.now_us
+    let ops = List.map (operand ctx) es in
+    let pre = seq (List.map (fun o -> o.code) ops) in
+    let at = Array.of_list (List.map (fun o -> o.at) ops) in
+    (match alg with
+     | Crc16 ->
+       fun pkt args ->
+         pre pkt args;
+         set r o
+           (Int64.of_int ((Interp.hash_mix (hash_fold r at) lsr 16) land 0xFFFF))
+     | Crc32 | Identity ->
+       fun pkt args ->
+         pre pkt args;
+         set r o (Int64.of_int (Interp.hash_mix (hash_fold r at) land 0x7FFFFFFF)))
+  | Time -> fun _ _ -> set r o env.Interp.now_us
 
-and compile_exprs ctx es = Array.of_list (List.map (compile_expr ctx) es)
-
-(* Keys are evaluated left to right into a buffer owned by the access
-   site and reused by every packet, so a lookup builds no key; [State]
-   only reads the buffer and copies it on insert. Buffers are per site,
-   not per map, so a key that itself reads the same map ([incr m
-   [get(m, k)] 1]) fills a different buffer. Short key tuples (map
-   arity 1–3 in practice) get a filler specialised to the arity. Keys
-   that reduce to cell reads (staged loop variable, hoisted field
-   slots, constants) skip the per-key closure call — pure and
-   fault-free, so fusing them cannot reorder observable effects. The
-   sketch-update idiom [incr cms [i, hash(...) mod w] 1] hits the
-   two-key ref-first case on every loop iteration. *)
-and compile_keys ctx keys : Netsim.Packet.t -> int64 array -> State.key =
-  let buf = Array.make (List.length keys) 0L in
-  match keys with
-  | [] -> fun _ _ -> buf
-  | [ ka ] ->
-    (match operand_ref ctx ka with
-     | Some ra -> fun _ _ -> buf.(0) <- !ra; buf
-     | None ->
-       let a = compile_expr ctx ka in
-       fun pkt args -> buf.(0) <- a pkt args; buf)
-  | [ ka; kb ] ->
-    (match (operand_ref ctx ka, operand_ref ctx kb) with
-     | Some ra, Some rb -> fun _ _ -> buf.(0) <- !ra; buf.(1) <- !rb; buf
-     | Some ra, None ->
-       let b = compile_expr ctx kb in
-       fun pkt args -> buf.(0) <- !ra; buf.(1) <- b pkt args; buf
-     | None, Some rb ->
-       let a = compile_expr ctx ka in
-       fun pkt args -> buf.(0) <- a pkt args; buf.(1) <- !rb; buf
-     | None, None ->
-       let a = compile_expr ctx ka
-       and b = compile_expr ctx kb in
-       fun pkt args -> buf.(0) <- a pkt args; buf.(1) <- b pkt args; buf)
-  | [ ka; kb; kc ] ->
-    let a = compile_expr ctx ka
-    and b = compile_expr ctx kb
-    and c = compile_expr ctx kc in
-    fun pkt args ->
-      buf.(0) <- a pkt args;
-      buf.(1) <- b pkt args;
-      buf.(2) <- c pkt args;
-      buf
-  | _ ->
-    let ces = compile_exprs ctx keys in
-    fun pkt args ->
-      for i = 0 to Array.length ces - 1 do
-        buf.(i) <- ces.(i) pkt args
-      done;
-      buf
-
-(* Streams the operands through the hash fold without building the
-   interpreter's intermediate list; common small arities get a direct
-   let-chain (the fold state is untagged [int], so the chain is
-   allocation-free between operand evaluations). *)
-and hash_folder (ces : cexpr array) : Netsim.Packet.t -> int64 array -> int =
-  match ces with
-  | [| a |] -> fun pkt args -> Interp.hash_step Interp.hash_init (a pkt args)
-  | [| a; b |] ->
-    fun pkt args ->
-      let h = Interp.hash_step Interp.hash_init (a pkt args) in
-      Interp.hash_step h (b pkt args)
-  | [| a; b; c |] ->
-    fun pkt args ->
-      let h = Interp.hash_step Interp.hash_init (a pkt args) in
-      let h = Interp.hash_step h (b pkt args) in
-      Interp.hash_step h (c pkt args)
-  | [| a; b; c; d |] ->
-    fun pkt args ->
-      let h = Interp.hash_step Interp.hash_init (a pkt args) in
-      let h = Interp.hash_step h (b pkt args) in
-      let h = Interp.hash_step h (c pkt args) in
-      Interp.hash_step h (d pkt args)
-  | _ ->
-    fun pkt args ->
-      let h = ref Interp.hash_init in
-      for i = 0 to Array.length ces - 1 do
-        h := Interp.hash_step !h (ces.(i) pkt args)
-      done;
-      !h
+(* A key is a word slice [k, k+n) of the register file, evaluated left
+   to right by one code; [State] reads the slice and copies it only on
+   insert. Slices are per site, not per map, so a key that itself reads
+   the same map ([incr m [get(m, k)] 1]) fills a different slice. Key
+   words that are cells (the staged loop variable, hoisted fields) are
+   copied in by the key's own code, with no closure call — pure and
+   fault-free, so copying them first cannot reorder observable effects.
+   The sketch-update idiom [incr cms [i, hash(...) mod w] 1] copies the
+   loop variable and evaluates the column. *)
+and compile_keys ctx keys : cexpr * int * int =
+  let r = ctx.cregs.rf in
+  let n = List.length keys in
+  let k = alloc ctx n in
+  let copies = List.filter_map (fun (i, e) ->
+      Option.map (fun w -> (8 * w, 8 * (k + i))) (cell_of ctx e))
+      (List.mapi (fun i e -> (i, e)) keys)
+  in
+  let pre =
+    seq
+      (List.mapi
+         (fun i e -> if cell_of ctx e = None then compile_into ctx e (k + i) else nop)
+         keys)
+  in
+  let code =
+    match copies with
+    | [] -> pre
+    | [ (s, t) ] when pre == nop -> fun _ _ -> set r t (get r s)
+    | [ (s, t) ] -> fun pkt args -> set r t (get r s); pre pkt args
+    | cs ->
+      let src = Array.of_list (List.map fst cs)
+      and dst = Array.of_list (List.map snd cs) in
+      fun pkt args ->
+        for i = 0 to Array.length src - 1 do
+          set r dst.(i) (get r src.(i))
+        done;
+        pre pkt args
+  in
+  (code, k, n)
 
 (* -- Statements ------------------------------------------------------- *)
 
-(* A loop body can run with its loop variable staged in a cell (no
+(* A loop body can run with its loop variable staged in a word (no
    metadata writes per iteration) only if nothing in the body can
    observe [_loop_i] through the packet: no nested loop (rebinds it),
    no write to it, and no punt/dRPC callback (external code receiving
@@ -519,7 +549,7 @@ and stmt_substitutable = function
   | Forward _ | Drop | Push_header _ | Pop_header _ -> true
 
 (* A qualifying loop body may additionally have loop-invariant field
-   reads hoisted into slots filled once at loop entry. Soundness needs:
+   reads hoisted into words filled once at loop entry. Soundness needs:
    (a) field values and header presence invariant across iterations —
    no set_field/push/pop and no external callback in the body;
    (b) expression evaluation free of side effects and of non-field
@@ -592,115 +622,114 @@ let some_port p =
   if p >= 0 && p < Array.length port_opts then port_opts.(p) else Some p
 
 let rec compile_stmt ctx (s : stmt) : cstmt =
-  let env = ctx.cenv in
+  let env = ctx.cenv and r = ctx.cregs.rf in
   match s with
   | Nop -> fun _ _ _ -> ()
   | Set_field (h, f, e) ->
-    let ce = compile_expr ctx e in
+    let { code; at } = operand ctx e in
     let fc = fcache () in
     (* messages match [Packet.set_field]'s Invalid_argument, which the
        interpreter rewraps as Eval_error *)
     let hdr_err () = error "Packet.set_field: no header %s" h in
     let fld_err () = error "Packet.set_field: no field %s.%s" h f in
     fun pkt args _ ->
-      let v = ce pkt args in
-      field_cell fc h f pkt ~hdr_err ~fld_err := v
+      code pkt args;
+      field_cell fc h f pkt ~hdr_err ~fld_err := get r at
   | Set_meta (m, e) ->
-    let ce = compile_expr ctx e in
+    let { code; at } = operand ctx e in
     let mc = mcellc () in
     (* value evaluated before the cell is resolved: a fault in [e] must
        leave the metadata untouched, as in the interpreter *)
     fun pkt args _ ->
-      let v = ce pkt args in
-      mcell_set mc m pkt v
+      code pkt args;
+      mcell_set mc m pkt (get r at)
   | Map_put (m, keys, e) ->
     let mc = mcache m in
-    let ckeys = compile_keys ctx keys in
-    let ce = compile_expr ctx e in
+    let v = operand ctx e in
+    let ck, k, n = compile_keys ctx keys in
+    let cv = v.code and w = v.at / 8 in
     fun pkt args _ ->
       (* the interpreter evaluates the value expression before the keys
          and resolves the map last (OCaml right-to-left argument
          order); mirror it so fault precedence is identical *)
-      let v = ce pkt args in
-      let ks = ckeys pkt args in
-      State.put (mc_state env mc) ks v
-  | Map_incr (m, keys, Const d) ->
-    (* constant delta bound at compile time (pure, so skipping its
-       evaluation slot is unobservable) — the counter/sketch idiom *)
-    let mc = mcache m in
-    let ckeys = compile_keys ctx keys in
-    fun pkt args _ ->
-      let ks = ckeys pkt args in
-      ignore (State.incr (mc_state env mc) ks d)
+      cv pkt args;
+      ck pkt args;
+      State.write (mc_state env mc) r k n w
   | Map_incr (m, keys, e) ->
     let mc = mcache m in
-    let ckeys = compile_keys ctx keys in
-    let ce = compile_expr ctx e in
-    fun pkt args _ ->
-      let v = ce pkt args in
-      let ks = ckeys pkt args in
-      ignore (State.incr (mc_state env mc) ks v)
+    let v = operand ctx e in
+    let ck, k, n = compile_keys ctx keys in
+    let w = v.at / 8 in
+    if v.code == nop then
+      (* a constant delta, written once (the counter/sketch idiom) *)
+      fun pkt args _ ->
+        ck pkt args;
+        State.add (mc_state env mc) r k n w
+    else
+      let cv = v.code in
+      fun pkt args _ ->
+        cv pkt args;
+        ck pkt args;
+        State.add (mc_state env mc) r k n w
   | Map_del (m, keys) ->
     let mc = mcache m in
-    let ckeys = compile_keys ctx keys in
-    fun pkt args _ -> State.del (mc_state env mc) (ckeys pkt args)
+    let ck, k, n = compile_keys ctx keys in
+    fun pkt args _ ->
+      ck pkt args;
+      State.remove (mc_state env mc) r k n
   | If (c, th, el) ->
-    let cc = compile_expr ctx c in
+    let { code; at } = operand ctx c in
     let cth = compile_stmts ctx th in
     let cel = compile_stmts ctx el in
     fun pkt args verdict ->
-      if truthy (cc pkt args) then cth pkt args verdict
-      else cel pkt args verdict
+      code pkt args;
+      if Int64.equal (get r at) 0L then cel pkt args verdict
+      else cth pkt args verdict
   | Loop (n, body) when n > 0 && loop_substitutable body ->
-    let cell = ref 0L in
-    let ivals = Array.init n Int64.of_int in
+    let cell = alloc ctx 1 in
     let hoist = if body_hoistable body then leading_fields body else [] in
-    let harr = Array.init (List.length hoist) (fun _ -> ref 0L) in
+    let hslots = List.map (fun hf -> (hf, alloc ctx 1)) hoist in
     let getters =
-      Array.of_list (List.map (fun (h, f) -> compile_field h f) hoist)
+      Array.of_list (List.map (fun ((h, f), w) -> field_into r (8 * w) h f) hslots)
     in
     let cbody =
-      compile_stmts
-        { ctx with
-          cloop = Some cell;
-          chslots = List.mapi (fun i hf -> (hf, i)) hoist;
-          charr = harr }
-        body
+      compile_stmts { ctx with cloop = Some cell; chslots = hslots } body
     in
-    let last = ivals.(n - 1) in
-    let ng = Array.length getters in
+    let c = 8 * cell and last = Int64.of_int (n - 1) in
     let mc = mcellc () in
     fun pkt args verdict ->
       (try
-         (* hoisted reads fault as iteration 0 would; the cell is set
-            first so the handler publishes the iteration the
+         (* hoisted reads fault as iteration 0 would; the variable is
+            set first so the handler publishes the iteration the
             interpreter would have reached *)
-         cell := ivals.(0);
-         for i = 0 to ng - 1 do
-           harr.(i) := getters.(i) pkt args
+         set r c 0L;
+         for i = 0 to Array.length getters - 1 do
+           getters.(i) pkt args
          done;
          for i = 0 to n - 1 do
-           cell := ivals.(i);
+           set r c (Int64.of_int i);
            cbody pkt args verdict
          done
        with e ->
          (* a fault escapes mid-loop: publish the iteration the
             interpreter would have left in the metadata *)
-         mcell_set mc "_loop_i" pkt !cell;
+         mcell_set mc "_loop_i" pkt (get r c);
          raise e);
       mcell_set mc "_loop_i" pkt last
   | Loop (n, body) ->
     let cbody = compile_stmts { ctx with cloop = None } body in
+    let ivals = Array.init (max n 0) Int64.of_int in
     let mc = mcellc () in
     fun pkt args verdict ->
       for i = 0 to n - 1 do
-        mcell_set mc "_loop_i" pkt (Int64.of_int i);
+        mcell_set mc "_loop_i" pkt ivals.(i);
         cbody pkt args verdict
       done
   | Forward e ->
-    let ce = compile_expr ctx e in
+    let { code; at } = operand ctx e in
     fun pkt args verdict ->
-      verdict.Interp.egress <- some_port (Int64.to_int (ce pkt args))
+      code pkt args;
+      verdict.Interp.egress <- some_port (Int64.to_int (get r at))
   | Drop -> fun _ _ verdict -> verdict.Interp.dropped <- true
   | Punt digest ->
     fun pkt _ verdict ->
@@ -711,11 +740,12 @@ let rec compile_stmt ctx (s : stmt) : cstmt =
       Netsim.Packet.push_header pkt { Netsim.Packet.hname = h; fields = [] }
   | Pop_header h -> fun pkt _ _ -> Netsim.Packet.pop_header pkt h
   | Call (svc, argexprs) ->
-    let cargs = compile_keys ctx argexprs in
+    let ck, k, n = compile_keys ctx argexprs in
     let meta_key = "drpc_" ^ svc in (* interned once, not per packet *)
     let mc = mcellc () in
     fun pkt args _ ->
-      let result = env.Interp.drpc svc (Array.to_list (cargs pkt args)) in
+      ck pkt args;
+      let result = env.Interp.drpc svc (List.init n (fun i -> get r (8 * (k + i)))) in
       mcell_set mc meta_key pkt result
 
 and compile_stmts ctx stmts : cstmt =
@@ -770,8 +800,10 @@ type ctable = {
   ct_table : table;
   ct_hit : ccnt; (* pre-resolved counter cells *)
   ct_miss : ccnt;
-  ct_keys : Netsim.Packet.t -> int64 array -> State.key;
-    (* fills and returns the table's key buffer *)
+  ct_regs : Bytes.t; (* the table's register file *)
+  ct_keys : cexpr; (* fills the key: words [ct_key, ct_key + ct_arity) *)
+  ct_key : int;
+  ct_arity : int;
   ct_default : Netsim.Packet.t -> Interp.verdict -> unit;
   (* resolves a rule's (action, args) to its body and argument array *)
   ct_bind : string -> int64 list -> cstmt * int64 array;
@@ -783,16 +815,13 @@ type ctable = {
     argument array. Arity mismatches and unknown actions keep the
     interpreter's behaviour: the error fires if and when the rule is
     selected, after the hit counter is bumped. *)
-let compile_action_binder env (t : table) =
+let compile_action_binder ctx (t : table) =
   let compiled =
     List.map
       (fun a ->
         ( a.act_name,
           List.length a.params,
-          compile_stmts
-            { cenv = env; cparams = a.params; cloop = None;
-              chslots = []; charr = [||] }
-            a.body ))
+          compile_stmts { ctx with cparams = a.params } a.body ))
       t.tbl_actions
   in
   fun action_name args ->
@@ -819,8 +848,9 @@ let prepare_rule bind (r : rule) =
 let all_exact (pre : prepared) =
   Array.for_all (function P_exact _ -> true | _ -> false) pre.pre_matches
 
-let exact_key (pre : prepared) : State.key =
-  Array.map (function P_exact v -> v | _ -> assert false) pre.pre_matches
+let exact_key (pre : prepared) =
+  State.pack
+    (Array.map (function P_exact v -> v | _ -> assert false) pre.pre_matches)
 
 (** Rebuild a table's index from the environment's current rule list.
     Each rule is prepared once, and the sort reads the prepared
@@ -857,7 +887,8 @@ let build_index env (ct : ctable) =
       List.iter
         (fun pre ->
           let k = exact_key pre in
-          if not (State.Key_tbl.mem h k) then State.Key_tbl.add h k pre)
+          if not (State.Key_tbl.mem h k 0 arity) then
+            State.Key_tbl.add h k 0 arity pre)
         sorted;
       Hash_index h
     | _ -> Scan (Array.of_list sorted)
@@ -880,15 +911,23 @@ let build_index env (ct : ctable) =
   ct.ct_gen <- env.Interp.rules_gen
 
 let compile_table env (t : table) : ctable =
-  let bind = compile_action_binder env t in
-  let default_name, default_args = t.default_action in
+  let keys = List.map fst t.keys in
   let ctx =
-    { cenv = env; cparams = []; cloop = None; chslots = []; charr = [||] }
+    context env
+      (List.fold_left
+         (fun n a -> n + stmts_words a.body)
+         (2 * exprs_nodes keys) t.tbl_actions)
   in
+  let ct_keys, ct_key, ct_arity = compile_keys ctx keys in
+  let bind = compile_action_binder ctx t in
+  let default_name, default_args = t.default_action in
   { ct_table = t;
     ct_hit = ccnt (t.tbl_name ^ ".hit");
     ct_miss = ccnt (t.tbl_name ^ ".miss");
-    ct_keys = compile_keys ctx (List.map fst t.keys);
+    ct_regs = ctx.cregs.rf;
+    ct_keys;
+    ct_key;
+    ct_arity;
     ct_default =
       (let body, args = bind default_name default_args in
        fun pkt verdict -> body pkt args verdict);
@@ -896,27 +935,42 @@ let compile_table env (t : table) : ctable =
     ct_index = Scan [||];
     ct_gen = -1 }
 
-let rec matches_from (pre : prepared) (keys : State.key) i =
-  i >= Array.length pre.pre_matches
-  || (Interp.match_pattern keys.(i) pre.pre_matches.(i)
-      && matches_from pre keys (i + 1))
+(* [Interp.match_pattern] on a key word, read unboxed. *)
+let[@inline] match_word (v : int64) = function
+  | P_any -> true
+  | P_exact x -> Int64.equal v x
+  | P_lpm (x, len) ->
+    len = 0
+    ||
+    let shift = 32 - len in
+    Int64.equal
+      (Int64.shift_right_logical v shift)
+      (Int64.shift_right_logical x shift)
+  | P_ternary (x, mask) -> Int64.equal (Int64.logand v mask) (Int64.logand x mask)
+  | P_range (lo, hi) -> Int64.compare v lo >= 0 && Int64.compare v hi <= 0
 
-let rec scan_from (arr : prepared array) (keys : State.key) i =
+(* The key is words [k, k+n) of [r], as everywhere below. *)
+let rec matches_from (pm : pattern array) r k i =
+  i >= Array.length pm
+  || (match_word (get r (8 * (k + i))) (Array.unsafe_get pm i)
+      && matches_from pm r k (i + 1))
+
+let rec scan_from (arr : prepared array) r k n i =
   if i >= Array.length arr then no_rule
   else
     let pre = arr.(i) in
-    if Array.length pre.pre_matches = Array.length keys && matches_from pre keys 0
+    if Array.length pre.pre_matches = n && matches_from pre.pre_matches r k 0
     then pre
-    else scan_from arr keys (i + 1)
+    else scan_from arr r k n (i + 1)
 
 (* Authoritative (host-tier) probe; [no_rule] when nothing matches. *)
-let probe_auth auth keys =
+let probe_auth auth r k n =
   match auth with
   | Hash_index h ->
-    (match State.Key_tbl.find h keys with
+    (match State.Key_tbl.find h r k n with
      | pre -> pre
      | exception Not_found -> no_rule)
-  | Scan arr -> scan_from arr keys 0
+  | Scan arr -> scan_from arr r k n 0
   | Tiered _ -> assert false (* td_auth is never itself tiered *)
 
 let exec_ctable env (ct : ctable) pkt verdict =
@@ -925,31 +979,35 @@ let exec_ctable env (ct : ctable) pkt verdict =
      missing header must fault exactly as in the interpreter — and
      exactly once: key evaluation may touch maps (LRU ticks),
      observable through State semantics *)
-  let keys = ct.ct_keys pkt no_args in
+  ct.ct_keys pkt no_args;
+  let r = ct.ct_regs and k = ct.ct_key and n = ct.ct_arity in
   let selected =
     match ct.ct_index with
     | Tiered { td_auth; td_cache } ->
-      (match State.Tier.find td_cache keys with
+      (match State.Tier.find td_cache r k n with
        | memo -> memo (* device-tier hit *)
        | exception Not_found ->
          (* device-tier fault: the authoritative lookup serves the
             packet (slow path), and the binding is demand-paged in
             through the runtime's hook. The hook may commit after
-            later packets have refilled the key buffer, so it gets a
-            copy. The commit closure re-checks the generation and
-            index identity so a promotion that lands after a rule
-            change (async dRPC) is dropped, not applied stale. *)
-         let winner = probe_auth td_auth keys in
+            later packets have refilled the key words, so it gets a
+            copy. The commit closure re-checks the generation so a
+            promotion that lands after a rule change (async dRPC) is
+            dropped, not applied stale: the generation moves before
+            any rebuild replaces the index, so an unchanged one
+            proves the index and its device tier are the ones
+            faulted on. *)
+         let winner = probe_auth td_auth r k n in
          let gen = ct.ct_gen in
-         let key = Array.copy keys in
+         let key = Bytes.sub r (8 * k) (8 * n) in
          env.Interp.page_in ct.ct_table.tbl_name key (fun () ->
              if ct.ct_gen = gen && env.Interp.rules_gen = gen then
                match ct.ct_index with
-               | Tiered { td_cache = c; _ } when c == td_cache ->
-                 State.Tier.promote c key winner
+               | Tiered { td_cache; _ } ->
+                 State.Tier.promote td_cache key 0 (Bytes.length key / 8) winner
                | _ -> ());
          winner)
-    | auth -> probe_auth auth keys
+    | auth -> probe_auth auth r k n
   in
   if selected != no_rule then begin
     cc_bump env ct.ct_hit;
@@ -1045,12 +1103,10 @@ let rec drop k l =
 let no_element = C_block (fun _ _ _ -> ())
 
 let compile ?prev (env : Interp.env) (prog : program) : t =
-  let ctx =
-    { cenv = env; cparams = []; cloop = None; chslots = []; charr = [||] }
-  in
   let fresh = function
     | Table tbl -> C_table (compile_table env tbl)
-    | Block b -> C_block (compile_stmts ctx b.blk_body)
+    | Block b ->
+      C_block (compile_stmts (context env (stmts_words b.blk_body)) b.blk_body)
   in
   let pipeline = Array.make (List.length prog.pipeline) no_element in
   (match prev with
@@ -1180,7 +1236,8 @@ let warm_table t name keys =
     let arity = List.length ct.ct_table.keys in
     List.iter
       (fun k ->
-        if Array.length k = arity && not (State.Tier.mem td_cache k) then
-          State.Tier.promote td_cache k (probe_auth td_auth k))
+        let b = State.pack k in
+        if Array.length k = arity && not (State.Tier.mem td_cache b 0 arity)
+        then State.Tier.promote td_cache b 0 arity (probe_auth td_auth b 0 arity))
       keys
   | _ -> ()

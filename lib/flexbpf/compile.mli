@@ -3,7 +3,10 @@
     Compiles an installed program once into OCaml closures so the
     per-packet work is only the work the modelled hardware would do:
     expressions and statements become thunks (AST dispatch paid at
-    compile time), action parameters are array slots instead of assoc
+    compile time) that pass values through a per-element register file
+    of unboxed words, map and table keys are word slices of that file
+    probed in place ([State]'s flat keys), action parameters are array
+    slots instead of assoc
     lookups, per-table hit/miss counter keys are pre-interned, parser
     acceptance is memoised per header-stack shape, and rule matching is
     an index — a hash table keyed on the evaluated key tuple when every
@@ -20,9 +23,11 @@
     recompilation; counter cells, header-field and metadata cells, and
     the parser verdict are likewise cached and revalidated by cheap
     identity checks. Qualifying loops run with their induction variable
-    staged in a cell and loop-invariant field reads hoisted to slots
-    filled at loop entry; the [hash(...) mod width] sketch idiom fuses
-    into a single unboxed closure.
+    staged in a register and loop-invariant field reads hoisted to
+    registers filled at loop entry; the [hash(...) mod width] sketch
+    idiom fuses into a single closure. A value is boxed only where it
+    leaves into an [int64 ref]: a field or metadata write, and the loop
+    variable's publication.
 
     [Interp] remains the executable specification of FlexBPF; compiled
     execution is observationally equivalent (verdict, map state,

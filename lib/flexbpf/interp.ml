@@ -28,11 +28,12 @@ type env = {
          compiled fast path (Compile) tiers its rule index accordingly;
          this reference interpreter ignores it — it IS the unbounded
          host tier. *)
-  mutable page_in : string -> State.key -> (unit -> unit) -> unit;
+  mutable page_in : string -> Bytes.t -> (unit -> unit) -> unit;
       (* demand-paging hook: [page_in table key commit] asks the
          runtime to fault [key]'s binding into [table]'s device tier;
-         calling [commit] performs the promotion. [key] is a copy the
-         hook may keep (an async commit). The default commits
+         calling [commit] performs the promotion. [key] is a flat copy
+         the hook may keep (an async commit), its words filling the
+         buffer. The default commits
          immediately (deterministic, no runtime); [Runtime.Drpc]
          rebinds it so promotion rides the dRPC timeout/backoff
          machinery — a dropped page means no promotion, never a wrong
@@ -144,7 +145,8 @@ let of_bool b = if b then 1L else 0L
    and spread are promised, not any wire CRC polynomial. *)
 let hash_init = 0x1A2B3C4D5E6F
 
-let hash_step h (v : int64) = (h lxor Int64.to_int v) * 0x100000001b3
+let hash_prime = 0x100000001b3
+let hash_step h (v : int64) = (h lxor Int64.to_int v) * hash_prime
 
 let hash_mix h =
   let h = h lxor (h lsr 33) in
@@ -244,10 +246,9 @@ let rec exec_stmt env ~params pkt verdict = function
       (eval env ~params pkt e)
   | Map_incr (m, keys, e) ->
     env.work <- env.work + 2;
-    ignore
-      (State.incr (env_map env m)
-         (eval_key env ~params pkt keys)
-         (eval env ~params pkt e))
+    State.incr (env_map env m)
+      (eval_key env ~params pkt keys)
+      (eval env ~params pkt e)
   | Map_del (m, keys) ->
     env.work <- env.work + 2;
     State.del (env_map env m) (eval_key env ~params pkt keys)

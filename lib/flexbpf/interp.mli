@@ -28,10 +28,11 @@ type env = {
       (* table -> device-tier capacity in rules; absent = unbounded
          flat store. Only the compiled fast path tiers its index — the
          interpreter is the authoritative (host-tier) reference. *)
-  mutable page_in : string -> State.key -> (unit -> unit) -> unit;
+  mutable page_in : string -> Bytes.t -> (unit -> unit) -> unit;
       (* demand-paging hook: [page_in table key commit]; [commit]
          performs the promotion into the device tier. [key] is the
-         caller's own copy, so the hook may hold it past the call.
+         caller's own flat copy (the key's words fill the buffer), so
+         the hook may hold it past the call.
          Defaults to an immediate commit; [Runtime.Drpc.bind_paging]
          reroutes it over dRPC so drops delay promotion, never
          correctness. *)
@@ -96,18 +97,15 @@ val crc32 : int64 list -> int64
 
 (** The hash as an explicit fold over untagged [int] state, for callers
     (the compiled fast path) that stream operands without building the
-    list: seed with [hash_init], fold [hash_step], then apply the
-    matching [_finish]. [crcNN data = crcNN_finish (List.fold_left
-    hash_step hash_init data)]. *)
+    list: seed with [hash_init] and fold [hash_step], which is
+    [(h lxor Int64.to_int v) * hash_prime] — exposed so unboxed words
+    fold without a call per operand. Then finish with [hash_mix]:
+    [crc32 data = Int64.of_int (hash_mix h land 0x7FFFFFFF)] and
+    [crc16 data = Int64.of_int ((hash_mix h lsr 16) land 0xFFFF)], for
+    [h = List.fold_left hash_step hash_init data]. *)
 val hash_init : int
 val hash_step : int -> int64 -> int
-val crc16_finish : int -> int64
-val crc32_finish : int -> int64
-
-(** The final avalanche applied by both [_finish] functions, exposed so
-    the fast path can fuse finish+modulo without reboxing:
-    [crc32_finish h = Int64.of_int (hash_mix h land 0x7FFFFFFF)] and
-    [crc16_finish h = Int64.of_int ((hash_mix h lsr 16) land 0xFFFF)]. *)
+val hash_prime : int
 val hash_mix : int -> int
 
 (** Does [value] satisfy the pattern? *)

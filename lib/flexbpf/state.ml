@@ -38,25 +38,32 @@ type snapshot = {
 }
 
 (* Keys sit on the per-packet hot path (every map access and tiered
-   lookup), and callers pass a reused per-site buffer: hashing and
-   comparison read the buffer's contents, and only an insert copies
-   it. Untagged [int] fold — [Int64] intermediates would box per
-   element; [to_int] drops only the sign bit. Registers index by it:
-   which keys alias is the behaviour they model. *)
-let key_hash (k : key) =
+   lookup) as flat keys: [n] 64-bit words from word [k] of a [Bytes.t],
+   read with the unboxed primitives, so hashing and comparison allocate
+   nothing, and only an insert copies the words. The compiled datapath
+   passes word slices of its register file; host-side callers pack an
+   [int64 array] first ([pack]). *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] word b i = get64 b (8 * i)
+
+let pack (k : key) =
+  let b = Bytes.create (8 * (Array.length k + 1)) in
+  Array.iteri (fun i v -> set64 b (8 * i) v) k;
+  b
+
+let key_of b k n : key = Array.init n (fun j -> word b (k + j))
+
+(* Untagged [int] fold — [Int64] intermediates would box per element;
+   [to_int] drops only the sign bit. Registers index by it: which keys
+   alias is the behaviour they model. *)
+let key_hash b k n =
   let h = ref 17 in
-  for i = 0 to Array.length k - 1 do
-    h := (!h * 31) lxor Int64.to_int (Array.unsafe_get k i)
+  for i = k to k + n - 1 do
+    h := (!h * 31) lxor Int64.to_int (word b i)
   done;
   !h land max_int
-
-let rec equal_from (a : key) (b : key) i =
-  i >= Array.length a
-  || (Int64.equal (Array.unsafe_get a i) (Array.unsafe_get b i)
-      && equal_from a b (i + 1))
-
-let key_equal (a : key) (b : key) =
-  Array.length a = Array.length b && equal_from a b 0
 
 (* Lexicographic with a proper prefix first — the order snapshots have
    always been sorted in. *)
@@ -69,6 +76,12 @@ let rec compare_from (a : key) (b : key) i =
     | c -> c
 
 let key_compare a b = compare_from a b 0
+
+(* [n] words at byte [off] of [w] equal the key's. *)
+let rec words_match w off b k n j =
+  j >= n
+  || (Int64.equal (get64 w (off + (8 * j))) (word b (k + j))
+      && words_match w off b k n (j + 1))
 
 (* -- Keyed index ---------------------------------------------------------- *)
 
@@ -85,9 +98,6 @@ let key_compare a b = compare_from a b 0
    tombstone. Entry storage grows by doubling up to [limit], so a
    large, sparsely used store costs only what it holds. In-range ids
    and offsets are invariants, hence the unchecked accesses. *)
-
-external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 type ix = {
   mutable slots : int array; (* slot i: hash at 2i, entry at 2i+1 (-1 empty) *)
@@ -107,10 +117,10 @@ type ix = {
    almost unmixed for small keys (count-min's (row, column) pairs). *)
 let mix_mul = 0x2127599bf4325c37
 
-let index_hash (k : key) =
-  let h = ref (Array.length k) in
-  for i = 0 to Array.length k - 1 do
-    h := (!h lxor Int64.to_int (Array.unsafe_get k i)) * mix_mul
+let index_hash b k n =
+  let h = ref n in
+  for i = k to k + n - 1 do
+    h := (!h lxor Int64.to_int (word b i)) * mix_mul
   done;
   let h = !h lxor (!h lsr 32) in
   let h = h * mix_mul in
@@ -140,33 +150,26 @@ let key_at ix e = 8 * ((e * ix.stride) + 1 + ix.vw)
 
 let entry_len ix e = Int64.to_int (get64 ix.words (len_at ix e))
 
-let rec words_match w off (k : key) j =
-  j >= Array.length k
-  || (Int64.equal (get64 w (off + (8 * j))) (Array.unsafe_get k j)
-      && words_match w off k (j + 1))
-
-let rec probe ix (k : key) h i =
+let rec probe ix b k n h i =
   let s = ix.slots in
   let e = Array.unsafe_get s ((2 * i) + 1) in
   if e < 0 then -1
   else if
     Array.unsafe_get s (2 * i) = h
-    && entry_len ix e = Array.length k
-    && words_match ix.words (key_at ix e) k 0
+    && entry_len ix e = n
+    && words_match ix.words (key_at ix e) b k n 0
   then e
-  else probe ix k h ((i + 1) land ix.mask)
+  else probe ix b k n h ((i + 1) land ix.mask)
 
-(* The entry holding [k], or -1. *)
-let ix_find ix k =
-  let h = index_hash k in
-  probe ix k h (h land ix.mask)
+(* The entry holding the key, or -1. *)
+let ix_find ix b k n =
+  let h = index_hash b k n in
+  probe ix b k n h (h land ix.mask)
 
-let ix_key ix e =
-  let off = key_at ix e in
-  Array.init (entry_len ix e) (fun j -> get64 ix.words (off + (8 * j)))
+let ix_key ix e = key_of ix.words (key_at ix e / 8) (entry_len ix e)
 
-let ix_val ix e = get64 ix.words (val_at ix e)
-let ix_set_val ix e v = set64 ix.words (val_at ix e) v
+let[@inline] ix_val ix e = get64 ix.words (val_at ix e)
+let[@inline] ix_set_val ix e v = set64 ix.words (val_at ix e) v
 
 let grow a n fill =
   let b = Array.make n fill in
@@ -227,10 +230,9 @@ let ix_rehash ix n =
     if e >= 0 then place ix old.(2 * i) e
   done
 
-(* Store a copy of [k], which must be absent, under a fresh entry; the
-   caller keeps [count < limit] and sets the value. *)
-let ix_add ix (k : key) =
-  let n = Array.length k in
+(* Store a copy of the key, which must be absent, under a fresh entry;
+   the caller keeps [count < limit] and sets the value. *)
+let ix_add ix b k n =
   if 1 + ix.vw + n > ix.stride then
     ix_relayout ix ~stride:(1 + ix.vw + n) (Array.length ix.at);
   if ix.free < 0 then ix_grow ix;
@@ -238,11 +240,8 @@ let ix_add ix (k : key) =
   let e = ix.free in
   ix.free <- ix.at.(e);
   set64 ix.words (len_at ix e) (Int64.of_int n);
-  let off = key_at ix e in
-  for j = 0 to n - 1 do
-    set64 ix.words (off + (8 * j)) (Array.unsafe_get k j)
-  done;
-  place ix (index_hash k) e;
+  Bytes.blit b (8 * k) ix.words (key_at ix e) (8 * n);
+  place ix (index_hash b k n) e;
   ix.count <- ix.count + 1;
   e
 
@@ -275,14 +274,14 @@ module Key_tbl = struct
 
   let create hint = { kt = ix_create ~hint ~vw:0 max_int; kt_vals = [||] }
 
-  let find t k =
-    let e = ix_find t.kt k in
+  let find t b k n =
+    let e = ix_find t.kt b k n in
     if e < 0 then raise Not_found else Array.unsafe_get t.kt_vals e
 
-  let mem t k = ix_find t.kt k >= 0
+  let mem t b k n = ix_find t.kt b k n >= 0
 
-  let add t k v =
-    let e = ix_add t.kt k in
+  let add t b k n v =
+    let e = ix_add t.kt b k n in
     t.kt_vals <- fit t.kt_vals (e + 1) v;
     t.kt_vals.(e) <- v
 end
@@ -327,8 +326,8 @@ let lru_touch l e =
     l.head <- e
   end
 
-let lru_remove l key =
-  let e = ix_find l.ix key in
+let lru_remove l b k n =
+  let e = ix_find l.ix b k n in
   e >= 0
   && begin
     lru_unlink l e;
@@ -338,14 +337,14 @@ let lru_remove l key =
 
 (* Insert an absent key as most recent, evicting the tail when the
    store is full; returns its entry, whose value the caller sets. *)
-let lru_insert l key =
+let lru_insert l b k n =
   if l.ix.count >= l.ix.limit then begin
     let victim = l.tail in
     lru_unlink l victim;
     ix_remove l.ix victim;
     l.evictions <- l.evictions + 1
   end;
-  let e = ix_add l.ix key in
+  let e = ix_add l.ix b k n in
   if 2 * e >= Array.length l.links then
     l.links <- grow l.links (2 * Array.length l.ix.at) (-1);
   l.links.(2 * e) <- -1;
@@ -370,13 +369,18 @@ let lru_map l f =
 
 (* -- Stores ------------------------------------------------------------ *)
 
-(* Registers keep each slot's key and value in two arrays, so a write
-   that lands on the slot's resident key stores only the value; a
-   different key (an alias overwrite) copies it in. [absent] marks an
-   empty slot by identity, since [[||]] is itself a valid key. *)
-let absent : key = Array.make 1 0L
-
-type reg_store = { r_keys : key array; r_vals : int64 array }
+(* Registers keep slot i's value unboxed at word i of [r_vals], and its
+   key at word [i * r_stride] of [r_keys]: the key's length (-1 when
+   the slot is empty), then its words. A write that lands on the slot's
+   resident key stores only the value; a different key (an alias
+   overwrite) copies its words in. The stride grows to fit the longest
+   key written. *)
+type reg_store = {
+  r_size : int;
+  r_vals : Bytes.t;
+  mutable r_keys : Bytes.t;
+  mutable r_stride : int;
+}
 
 type fs_store = { fs : ix; mutable overflow_count : int }
 
@@ -387,14 +391,13 @@ type store =
 
 type t = { name : string; store : store }
 
-let slot n key = key_hash key mod n
-
 let create ~name ~size (enc : concrete) =
   let size = max 1 size in
   let store =
     match enc with
     | Registers ->
-      Reg { r_keys = Array.make size absent; r_vals = Array.make size 0L }
+      Reg { r_size = size; r_vals = Bytes.make (8 * size) '\000';
+            r_keys = Bytes.make (8 * size) '\255'; r_stride = 1 }
     | Flow_state -> Fs { fs = ix_create ~vw:1 size; overflow_count = 0 }
     | Stateful_table -> St (lru_create ~vw:1 size)
   in
@@ -412,96 +415,137 @@ let encoding t =
   | Fs _ -> Flow_state
   | St _ -> Stateful_table
 
-let reg_holds r i key = r.r_keys.(i) != absent && key_equal r.r_keys.(i) key
+let slot r b k n = key_hash b k n mod r.r_size
 
-let reg_write r i key v =
-  if not (reg_holds r i key) then r.r_keys.(i) <- Array.copy key;
-  r.r_vals.(i) <- v
+let reg_len r i = Int64.to_int (word r.r_keys (i * r.r_stride))
 
-let fs_insert f key v =
-  if f.fs.count < f.fs.limit then ix_set_val f.fs (ix_add f.fs key) v
+let reg_holds r i b k n =
+  reg_len r i = n && words_match r.r_keys (8 * ((i * r.r_stride) + 1)) b k n 0
+
+(* Make slot [i] hold the key, re-laying the slots when it is longer
+   than any key written so far. *)
+let reg_claim r i b k n =
+  if not (reg_holds r i b k n) then begin
+    if 1 + n > r.r_stride then begin
+      let stride = 1 + n in
+      let w = Bytes.make (8 * r.r_size * stride) '\255' in
+      for j = 0 to r.r_size - 1 do
+        let len = reg_len r j in
+        if len >= 0 then
+          Bytes.blit r.r_keys (8 * j * r.r_stride) w (8 * j * stride)
+            (8 * (1 + len))
+      done;
+      r.r_keys <- w;
+      r.r_stride <- stride
+    end;
+    let at = 8 * i * r.r_stride in
+    set64 r.r_keys at (Int64.of_int n);
+    Bytes.blit b (8 * k) r.r_keys (at + 8) (8 * n)
+  end
+
+let reg_key r i = key_of r.r_keys ((i * r.r_stride) + 1) (reg_len r i)
+
+(* Insert with the value at word [v] of [b]. *)
+let fs_insert f b k n v =
+  if f.fs.count < f.fs.limit then ix_set_val f.fs (ix_add f.fs b k n) (word b v)
   else f.overflow_count <- f.overflow_count + 1
 
-let get t key =
+(* -- The datapath's access path: key words [k, k+n) of [b], values
+   through words of the same buffer, nothing boxed. -- *)
+
+let read t b k n d =
   match t.store with
-  | Reg r -> r.r_vals.(slot (Array.length r.r_vals) key)
+  | Reg r -> set64 b (8 * d) (get64 r.r_vals (8 * slot r b k n))
   | Fs f ->
-    let e = ix_find f.fs key in
-    if e < 0 then 0L else ix_val f.fs e
+    let e = ix_find f.fs b k n in
+    if e < 0 then set64 b (8 * d) 0L else set64 b (8 * d) (ix_val f.fs e)
   | St l ->
-    let e = ix_find l.ix key in
-    if e < 0 then 0L
+    let e = ix_find l.ix b k n in
+    if e < 0 then set64 b (8 * d) 0L
     else begin
       lru_touch l e;
-      ix_val l.ix e
+      set64 b (8 * d) (ix_val l.ix e)
     end
 
-let mem t key =
+let holds t b k n =
   match t.store with
-  | Reg r -> reg_holds r (slot (Array.length r.r_vals) key) key
-  | Fs f -> ix_find f.fs key >= 0
-  | St l -> ix_find l.ix key >= 0
+  | Reg r -> reg_holds r (slot r b k n) b k n
+  | Fs f -> ix_find f.fs b k n >= 0
+  | St l -> ix_find l.ix b k n >= 0
 
-let put t key v =
+let write t b k n v =
   match t.store with
-  | Reg r -> reg_write r (slot (Array.length r.r_vals) key) key v
+  | Reg r ->
+    let i = slot r b k n in
+    reg_claim r i b k n;
+    set64 r.r_vals (8 * i) (word b v)
   | Fs f ->
-    let e = ix_find f.fs key in
-    if e >= 0 then ix_set_val f.fs e v else fs_insert f key v
+    let e = ix_find f.fs b k n in
+    if e >= 0 then ix_set_val f.fs e (word b v) else fs_insert f b k n v
   | St l ->
-    let e = ix_find l.ix key in
+    let e = ix_find l.ix b k n in
     if e >= 0 then begin
-      ix_set_val l.ix e v;
+      ix_set_val l.ix e (word b v);
       lru_touch l e
     end
-    else ix_set_val l.ix (lru_insert l key) v
+    else ix_set_val l.ix (lru_insert l b k n) (word b v)
 
-(* Specialised per encoding: [incr] is the per-packet hot operation
-   (sketches, counters), and the generic get-then-put pays the key hash
-   twice on Registers and probes twice on the keyed stores. *)
-let incr t key delta =
+(* Specialised per encoding: the per-packet hot operation (sketches,
+   counters), which a read-then-write would pay with two key hashes on
+   Registers and two probes on the keyed stores. *)
+let add t b k n v =
   match t.store with
   | Reg r ->
-    let i = slot (Array.length r.r_vals) key in
-    let v = Int64.add r.r_vals.(i) delta in
-    reg_write r i key v;
-    v
+    let i = slot r b k n in
+    let x = Int64.add (get64 r.r_vals (8 * i)) (word b v) in
+    reg_claim r i b k n;
+    set64 r.r_vals (8 * i) x
   | Fs f ->
-    let e = ix_find f.fs key in
-    if e >= 0 then begin
-      let v = Int64.add (ix_val f.fs e) delta in
-      ix_set_val f.fs e v;
-      v
-    end
-    else begin
-      fs_insert f key delta;
-      delta
-    end
+    let e = ix_find f.fs b k n in
+    if e >= 0 then ix_set_val f.fs e (Int64.add (ix_val f.fs e) (word b v))
+    else fs_insert f b k n v
   | St l ->
-    let e = ix_find l.ix key in
+    let e = ix_find l.ix b k n in
     if e >= 0 then begin
-      let v = Int64.add (ix_val l.ix e) delta in
-      ix_set_val l.ix e v;
-      lru_touch l e;
-      v
+      ix_set_val l.ix e (Int64.add (ix_val l.ix e) (word b v));
+      lru_touch l e
     end
-    else begin
-      ix_set_val l.ix (lru_insert l key) delta;
-      delta
-    end
+    else ix_set_val l.ix (lru_insert l b k n) (word b v)
 
-let del t key =
+let remove t b k n =
   match t.store with
   | Reg r ->
-    let i = slot (Array.length r.r_vals) key in
-    if reg_holds r i key then begin
-      r.r_keys.(i) <- absent;
-      r.r_vals.(i) <- 0L
+    let i = slot r b k n in
+    if reg_holds r i b k n then begin
+      set64 r.r_keys (8 * i * r.r_stride) (-1L);
+      set64 r.r_vals (8 * i) 0L
     end
   | Fs f ->
-    let e = ix_find f.fs key in
+    let e = ix_find f.fs b k n in
     if e >= 0 then ix_remove f.fs e
-  | St l -> ignore (lru_remove l key)
+  | St l -> ignore (lru_remove l b k n)
+
+(* -- Host-side access: the same path, with the key packed and one
+   spare word after it for the value. -- *)
+
+let get t (key : key) =
+  let n = Array.length key and b = pack key in
+  read t b 0 n n;
+  word b n
+
+let mem t (key : key) = holds t (pack key) 0 (Array.length key)
+
+let put t (key : key) v =
+  let n = Array.length key and b = pack key in
+  set64 b (8 * n) v;
+  write t b 0 n n
+
+let incr t (key : key) delta =
+  let n = Array.length key and b = pack key in
+  set64 b (8 * n) delta;
+  add t b 0 n n
+
+let del t (key : key) = remove t (pack key) 0 (Array.length key)
 
 (* Registers in slot order, flow state in entry order (insertion order
    until a deletion frees an entry for reuse), stateful tables least
@@ -510,8 +554,8 @@ let entries t =
   match t.store with
   | Reg r ->
     let acc = ref [] in
-    for i = Array.length r.r_keys - 1 downto 0 do
-      if r.r_keys.(i) != absent then acc := (r.r_keys.(i), r.r_vals.(i)) :: !acc
+    for i = r.r_size - 1 downto 0 do
+      if reg_len r i >= 0 then acc := (reg_key r i, word r.r_vals i) :: !acc
     done;
     !acc
   | Fs f ->
@@ -524,7 +568,12 @@ let entries t =
 
 let size t =
   match t.store with
-  | Reg _ -> List.length (entries t)
+  | Reg r ->
+    let c = ref 0 in
+    for i = 0 to r.r_size - 1 do
+      if reg_len r i >= 0 then c := !c + 1
+    done;
+    !c
   | Fs f -> f.fs.count
   | St l -> l.ix.count
 
@@ -556,16 +605,15 @@ let restore ~name ~size enc snap =
 let clear t =
   match t.store with
   | Reg r ->
-    Array.fill r.r_keys 0 (Array.length r.r_keys) absent;
-    Array.fill r.r_vals 0 (Array.length r.r_vals) 0L
+    Bytes.fill r.r_vals 0 (Bytes.length r.r_vals) '\000';
+    Bytes.fill r.r_keys 0 (Bytes.length r.r_keys) '\255'
   | Fs f -> ix_clear f.fs
   | St l -> lru_clear l
 
 (** Merge a snapshot into an existing map by summing values — used by
     the data-plane migration protocol to fold in-flight updates into the
     destination copy. *)
-let merge_add t snap =
-  List.iter (fun (k, v) -> ignore (incr t k v)) snap.snap_entries
+let merge_add t snap = List.iter (fun (k, v) -> incr t k v) snap.snap_entries
 
 (* -- Device-tier cache (tiered match tables) -------------------------- *)
 
@@ -600,8 +648,8 @@ module Tier = struct
   let evictions t = t.tc.evictions
   let demotions t = t.tc.evictions + t.tc_dropped
 
-  let find t key =
-    let e = ix_find t.tc.ix key in
+  let find t b k n =
+    let e = ix_find t.tc.ix b k n in
     if e < 0 then begin
       t.tc_misses <- t.tc_misses + 1;
       raise Not_found
@@ -610,23 +658,23 @@ module Tier = struct
     lru_touch t.tc e;
     Array.unsafe_get t.tc_vals e
 
-  let mem t key = ix_find t.tc.ix key >= 0
+  let mem t b k n = ix_find t.tc.ix b k n >= 0
 
-  let promote t key v =
-    let e = ix_find t.tc.ix key in
+  let promote t b k n v =
+    let e = ix_find t.tc.ix b k n in
     if e >= 0 then begin
       lru_touch t.tc e;
       t.tc_vals.(e) <- v
     end
     else begin
-      let e = lru_insert t.tc key in
+      let e = lru_insert t.tc b k n in
       t.tc_vals <- fit t.tc_vals (e + 1) v;
       t.tc_vals.(e) <- v;
       t.tc_promotions <- t.tc_promotions + 1
     end
 
-  let demote t key =
-    if lru_remove t.tc key then t.tc_dropped <- t.tc_dropped + 1
+  let demote t b k n =
+    if lru_remove t.tc b k n then t.tc_dropped <- t.tc_dropped + 1
 
   let flush ?cap t =
     t.tc_dropped <- t.tc_dropped + t.tc.ix.count;

@@ -14,28 +14,38 @@
     - {b Stateful table}: data-plane auto-insert with LRU eviction when
       full (Spectrum-style flow caching).
 
-    {b Key buffers.} A key is an [int64 array], and every operation
-    treats the caller's array as read-only and borrowed: lookups hash
-    and compare its contents, and an insert stores a copy. The compiled
-    datapath can therefore pass one reused buffer per access site
-    without allocating per packet. Registers keep their own copies of
-    keys, which [entries] and [snapshot] hand out and which must not be
-    mutated; the keyed stores keep key words inline and hand out fresh
-    arrays. *)
+    {b Flat keys.} The datapath's keys are flat: [n] 64-bit words from
+    word [k] of a [Bytes.t], which the compiled datapath takes as a word
+    slice of its register file. Every per-packet operation — [read],
+    [write], [add], [remove], [holds], [Key_tbl] and [Tier] lookups —
+    probes such a key, reading its words with the unboxed primitives,
+    and only an insert copies them. Map values travel through words of
+    the same buffer, so no per-packet operation allocates. The host-side
+    operations ([get], [put], [incr], [del], [mem]) take an [int64
+    array] key, pack it, and run the same path. Keys handed out
+    ([entries], [snapshot], [Tier.keys]) are fresh arrays. *)
 
+(** A host-side key. *)
 type key = int64 array
 
-(** Hash table keyed by key contents: [find] and [mem] only read the
-    probe key ([find] raises [Not_found]); [add] stores a copy of a key
-    that must be absent. *)
+(** [pack k] is a buffer holding [k]'s words from word 0, and one spare
+    word after them. *)
+val pack : key -> Bytes.t
+
+(** [key_of b k n] copies the flat key at words [k, k+n) of [b] out. *)
+val key_of : Bytes.t -> int -> int -> key
+
+(** Hash table keyed by key contents: [find b k n] and [mem] only read
+    the flat key ([find] raises [Not_found]); [add] stores a copy of a
+    key that must be absent. *)
 module Key_tbl : sig
   type 'a t
 
   (** [create n] sizes the table for [n] keys; it grows past that. *)
   val create : int -> 'a t
-  val find : 'a t -> key -> 'a
-  val mem : 'a t -> key -> bool
-  val add : 'a t -> key -> 'a -> unit
+  val find : 'a t -> Bytes.t -> int -> int -> 'a
+  val mem : 'a t -> Bytes.t -> int -> int -> bool
+  val add : 'a t -> Bytes.t -> int -> int -> 'a -> unit
 end
 
 type concrete = Registers | Flow_state | Stateful_table
@@ -57,14 +67,33 @@ val of_decl : Ast.map_decl -> ?default:concrete -> unit -> t
 
 val encoding : t -> concrete
 
+(** {2 Per-packet access}
+
+    The key is words [k, k+n) of [b]; a value is one word of [b]. *)
+
+(** [read t b k n d] stores the key's value at word [d]; an absent key
+    reads 0 (total semantics). *)
+val read : t -> Bytes.t -> int -> int -> int -> unit
+
+(** [write t b k n v] binds the key to the value at word [v]. *)
+val write : t -> Bytes.t -> int -> int -> int -> unit
+
+(** [add t b k n v] adds the value at word [v] to the key's. *)
+val add : t -> Bytes.t -> int -> int -> int -> unit
+
+val remove : t -> Bytes.t -> int -> int -> unit
+val holds : t -> Bytes.t -> int -> int -> bool
+
+(** {2 Host-side access} *)
+
 (** Reads of absent keys return 0 (total semantics). *)
 val get : t -> key -> int64
 
 val mem : t -> key -> bool
 val put : t -> key -> int64 -> unit
 
-(** Add [delta]; returns the new value. *)
-val incr : t -> key -> int64 -> int64
+(** Add [delta] to the key's value. *)
+val incr : t -> key -> int64 -> unit
 
 val del : t -> key -> unit
 
@@ -122,17 +151,18 @@ module Tier : sig
 
   (** Probe the device tier; a hit refreshes the binding's LRU rank.
       Bumps the hit/miss telemetry.
+      The key is flat, as in [Key_tbl].
       @raise Not_found on a miss. *)
-  val find : 'a t -> key -> 'a
+  val find : 'a t -> Bytes.t -> int -> int -> 'a
 
-  val mem : 'a t -> key -> bool
+  val mem : 'a t -> Bytes.t -> int -> int -> bool
 
   (** Install (or refresh) a binding, demoting the LRU victim when the
       tier is full. Hits, promotions and evictions are O(1). *)
-  val promote : 'a t -> key -> 'a -> unit
+  val promote : 'a t -> Bytes.t -> int -> int -> 'a -> unit
 
   (** Drop one binding (rule deletion / priority-update hygiene). *)
-  val demote : 'a t -> key -> unit
+  val demote : 'a t -> Bytes.t -> int -> int -> unit
 
   (** Drop every binding — generation change or residency replan —
       keeping cumulative telemetry; [cap] resizes the tier. *)

@@ -15,6 +15,8 @@
 let thunk_ev = -1
 let cancelled_ev = -2
 
+type local = ..
+
 type t = {
   clock : float array; (* [| now |], read unboxed by components *)
   stage : float array; (* [| time of the next [post] |] *)
@@ -35,6 +37,7 @@ type t = {
   mutable n_handlers : int;
   mutable settlers : (unit -> bool) array;
   mutable n_settlers : int;
+  mutable locals : local list;
   obs : Obs.Scope.t;
   events_c : int ref; (* handle for "sim.events" *)
 }
@@ -69,6 +72,7 @@ let create () =
       n_handlers = 0;
       settlers = Array.make 8 no_settle;
       n_settlers = 0;
+      locals = [];
       obs;
       events_c = Obs.Metrics.counter (Obs.Scope.metrics obs) "sim.events" }
   in
@@ -151,6 +155,9 @@ let cancel t ev =
     t.ev_fn.(ev) <- cancelled_ev;
     t.cancelled <- t.cancelled + 1
   end
+
+let locals t = t.locals
+let add_local t l = t.locals <- l :: t.locals
 
 let settle_later t f =
   if t.n_settlers = Array.length t.settlers then begin

@@ -68,6 +68,18 @@ val cancel : t -> int -> unit
     must not call [settle_later]. *)
 val settle_later : t -> (unit -> bool) -> unit
 
+(** {2 Per-simulation component state}
+
+    State a component module keeps once per simulation instead of once
+    per instance — [Link]'s shared arrival handler and the links it
+    dispatches to. A module extends [local] with its own constructor
+    and finds its value among [locals]. *)
+
+type local = ..
+
+val locals : t -> local list
+val add_local : t -> local -> unit
+
 (** Stop the current [run] after the event in progress. *)
 val stop : t -> unit
 

@@ -386,6 +386,12 @@ let thaw t =
     finalize t;
     List.iter (fun f -> f ()) (List.rev t.deferred);
     t.deferred <- [];
+    (* the released maps leave the program's declarations too; its
+       pipeline, and so its version, are unchanged *)
+    (match t.cached_program with
+     | Some p when p.Ast.maps != t.map_decls ->
+       t.cached_program <- Some { p with Ast.maps = t.map_decls }
+     | _ -> ());
     precompile t
 
 let is_frozen t = t.frozen <> None

@@ -818,11 +818,12 @@ let test_frozen_program_isolated () =
 (* Minor-heap words per [Compile.run] after warm-up, exact in native
    code ([Gc.minor_words] counts this domain's allocation and does not
    allocate itself). Lookups, keys, map state and the device tier
-   allocate nothing; each ceiling is the documented residual:
+   allocate nothing, and neither do expressions, whose values stay in
+   the register file; each ceiling is the documented residual:
    - 8: the fresh [Interp.verdict] (4) and [result] record (4), paid
      by every run;
-   - 3 per boxed [Int64] result: l2l3's TTL decrement and port
-     counter add; count-min's column and counter add, per row;
+   - 3: l2l3's TTL write, the box a value takes to leave into a field
+     cell;
    - 3: l2l3's [punt "l2_miss"] cons (no L2 rules installed).
    The bytecode backend boxes differently, so only native runs are
    gated. *)
@@ -871,12 +872,33 @@ let test_allocation_gate () =
   Interp.install_rule env "ipv4_lpm"
     (rule ~priority:1 ~matches:[ lpm_i 0 24 ] ~action:("route", [ 3 ]) ());
   let ttls = ttl_cells pkts in
-  gate "l2l3" ~ceiling:17
+  gate "l2l3" ~ceiling:14
     (words_per_run (Compile.compile env prog) pkts ~before:(fun j ->
          ttls.(j) := 64L));
   (* count-min, depth 3 *)
   let prog = Apps.Cm_sketch.program () in
-  gate "count-min" ~ceiling:26
+  gate "count-min" ~ceiling:8
+    (words_per_run (Compile.compile (Interp.create_env prog) prog) pkts
+       ~before:ignore);
+  (* the same sketch on the other two encodings *)
+  List.iter
+    (fun enc ->
+      let env = Interp.create_env ~default_encoding:enc prog in
+      gate
+        ("count-min on " ^ State.concrete_to_string enc)
+        ~ceiling:8
+        (words_per_run (Compile.compile env prog) pkts ~before:ignore))
+    [ State.Registers; State.Flow_state ];
+  (* an expression that reads a map *)
+  let prog =
+    program "rd"
+      ~maps:[ map_decl ~key_arity:1 ~size:64 "m" ]
+      [ block "b"
+          [ map_incr "m" [ field "ipv4" "dst" ];
+            when_ (map_get "m" [ field "ipv4" "dst" ] +: const 1 >: const 60)
+              [ drop ] ] ]
+  in
+  gate "map read in an expression" ~ceiling:8
     (words_per_run (Compile.compile (Interp.create_env prog) prog) pkts
        ~before:ignore);
   (* exact forwarding, every destination installed *)

@@ -160,7 +160,7 @@ let test_state_basic_ops () =
       let s = State.create ~name:"m" ~size:128 enc in
       State.put s [| 1L |] 10L;
       check_i64 (State.concrete_to_string enc ^ " get") 10L (State.get s [| 1L |]);
-      ignore (State.incr s [| 1L |] 5L);
+      State.incr s [| 1L |] 5L;
       check_i64 (State.concrete_to_string enc ^ " incr") 15L (State.get s [| 1L |]);
       State.del s [| 1L |];
       check_i64 (State.concrete_to_string enc ^ " del") 0L (State.get s [| 1L |]))

@@ -54,7 +54,7 @@ let apply_ops st ops =
     (fun op ->
       match op with
       | Put (k, v) -> State.put st [| Int64.of_int k |] (Int64.of_int v)
-      | Incr (k, v) -> ignore (State.incr st [| Int64.of_int k |] (Int64.of_int v))
+      | Incr (k, v) -> State.incr st [| Int64.of_int k |] (Int64.of_int v)
       | Del k -> State.del st [| Int64.of_int k |])
     ops
 
@@ -202,6 +202,9 @@ let lru_arb =
               ops)))
     QCheck.Gen.(pair lru_cap_gen (list_size (int_bound 200) lru_op_gen))
 
+(* A key as a flat key: its packed words, first word and length. *)
+let flat k = (State.pack (Array.of_list k), 0, List.length k)
+
 let snapshot_lists st =
   List.map (fun (k, v) -> (Array.to_list k, v)) (State.snapshot st).State.snap_entries
 
@@ -226,9 +229,10 @@ let prop_stateful_lru_matches_reference =
               true
             | L_incr (k, v) ->
               let d = Int64.of_int v in
-              let got = State.incr st (Array.of_list k) d in
+              State.incr st (Array.of_list k) d;
               Ref_lru.update r k (Int64.add d);
-              got = (Hashtbl.find r.Ref_lru.tbl k).Ref_lru.v
+              State.get st (Array.of_list k)
+              = (Hashtbl.find r.Ref_lru.tbl k).Ref_lru.v
             | L_del k ->
               State.del st (Array.of_list k);
               ignore (Ref_lru.remove r k);
@@ -259,7 +263,8 @@ let prop_tier_lru_matches_reference =
             match op with
             | L_get k ->
               let got =
-                match State.Tier.find t (Array.of_list k) with
+                let b, o, n = flat k in
+                match State.Tier.find t b o n with
                 | v -> Some v
                 | exception Not_found -> None
               in
@@ -267,14 +272,16 @@ let prop_tier_lru_matches_reference =
               if want = None then incr misses else incr hits;
               got = want
             | L_put (k, v) | L_incr (k, v) ->
-              State.Tier.promote t (Array.of_list k) (Int64.of_int v);
+              (let b, o, n = flat k in
+               State.Tier.promote t b o n (Int64.of_int v));
               if not (Hashtbl.mem r.Ref_lru.tbl k) then incr promotions;
               let before = r.Ref_lru.evictions in
               Ref_lru.update r k (fun _ -> Int64.of_int v);
               demotions := !demotions + r.Ref_lru.evictions - before;
               true
             | L_del k ->
-              State.Tier.demote t (Array.of_list k);
+              (let b, o, n = flat k in
+               State.Tier.demote t b o n);
               if Ref_lru.remove r k then incr demotions;
               true
             | L_flush cap ->
@@ -327,7 +334,10 @@ let prop_flow_state_matches_hashtbl =
                 Int64.add d (Option.value (Hashtbl.find_opt r k) ~default:0L)
               in
               write k want;
-              State.incr st (Array.of_list k) d = want
+              State.incr st (Array.of_list k) d;
+              (* an overflowed write stores nothing, in both *)
+              State.get st (Array.of_list k)
+              = Option.value (Hashtbl.find_opt r k) ~default:0L
             | L_del k ->
               State.del st (Array.of_list k);
               Hashtbl.remove r k;
@@ -360,18 +370,19 @@ let prop_key_tbl_matches_hashtbl =
     (fun (hint, ops) ->
       let t = State.Key_tbl.create hint and r = Hashtbl.create 8 in
       let agrees k =
+        let b, o, n = flat k in
         let got =
-          match State.Key_tbl.find t (Array.of_list k) with
+          match State.Key_tbl.find t b o n with
           | v -> Some v
           | exception Not_found -> None
         in
-        got = Hashtbl.find_opt r k
-        && State.Key_tbl.mem t (Array.of_list k) = Hashtbl.mem r k
+        got = Hashtbl.find_opt r k && State.Key_tbl.mem t b o n = Hashtbl.mem r k
       in
       List.for_all
         (fun (i, (add, k)) ->
           if add && not (Hashtbl.mem r k) then begin
-            State.Key_tbl.add t (Array.of_list k) i;
+            (let b, o, n = flat k in
+             State.Key_tbl.add t b o n i);
             Hashtbl.replace r k i
           end;
           agrees k)

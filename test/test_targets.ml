@@ -447,6 +447,23 @@ let test_freeze_defers_cleanup () =
   Targets.Device.thaw dev;
   check "map released at thaw" true (Targets.Device.map_state dev "cnt" = None)
 
+(* the program after thaw stops declaring the maps thaw released *)
+let test_thaw_drops_released_decls () =
+  let dev = Targets.Device.create Targets.Arch.drmt in
+  let m = map_decl ~key_arity:1 ~size:16 "cnt" in
+  let b = block "counter" [ map_incr "cnt" [ const 0 ] ] in
+  let ctx = program "ctx" ~maps:[ m ] [ b ] in
+  ignore (Targets.Device.install dev ~ctx ~order:0 b);
+  Targets.Device.freeze dev;
+  ignore (Targets.Device.uninstall dev "counter");
+  Targets.Device.thaw dev;
+  check "map released at thaw" true (Targets.Device.map_state dev "cnt" = None);
+  Alcotest.(check (list string))
+    "program declares no released map" []
+    (List.map
+       (fun (d : Flexbpf.Ast.map_decl) -> d.map_name)
+       (Targets.Device.program dev).Flexbpf.Ast.maps)
+
 let test_rollback_restores_snapshot () =
   (* every structural op inside a window — install, uninstall,
      defragment, parser rule — is undone by rollback: the device's
@@ -563,6 +580,8 @@ let () =
           Alcotest.test_case "parser capacity" `Quick test_parser_capacity;
           Alcotest.test_case "freeze/thaw" `Quick test_freeze_thaw_visibility;
           Alcotest.test_case "deferred cleanup" `Quick test_freeze_defers_cleanup;
+          Alcotest.test_case "thaw drops released map declarations" `Quick
+            test_thaw_drops_released_decls;
           Alcotest.test_case "rollback restores snapshot" `Quick
             test_rollback_restores_snapshot;
           Alcotest.test_case "epoch stamping" `Quick test_epoch_stamping ] );
