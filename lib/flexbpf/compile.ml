@@ -43,11 +43,21 @@ open Ast
 
 let error fmt = Printf.ksprintf (fun s -> raise (Interp.Eval_error s)) fmt
 
+(* The verdict a run fills, and what the run itself set. The verdict
+   is long-lived (one per compiled program), so a pointer store into it
+   pays OCaml's write barrier: a run stores a field only when its value
+   changes, and [finish] clears what the run did not set. *)
+type out = {
+  v : Interp.verdict;
+  mutable forwarded : bool; (* a [Forward] ran in this run *)
+  mutable punted : bool; (* a [Punt] ran in this run *)
+}
+
 (* Compiled forms. Closures take the action-argument array so one
    compiled body serves every rule of an action; blocks pass [no_args].
    An expression leaves its value in the register file (below). *)
 type cexpr = Netsim.Packet.t -> int64 array -> unit
-type cstmt = Netsim.Packet.t -> int64 array -> Interp.verdict -> unit
+type cstmt = Netsim.Packet.t -> int64 array -> out -> unit
 
 let no_args : int64 array = [||]
 
@@ -621,6 +631,16 @@ let port_opts = Array.init 1024 Option.some
 let some_port p =
   if p >= 0 && p < Array.length port_opts then port_opts.(p) else Some p
 
+(* Boxes for the small values a field write usually stores (TTLs,
+   flags, ports below 1024). [Int64] boxes are immutable, so a field
+   cell may point into this table; any other value gets its own box. *)
+let small_boxes = Array.init 1024 Int64.of_int
+
+let[@inline] box (v : int64) =
+  if Int64.compare v 0L >= 0 && Int64.compare v 1024L < 0 then
+    Array.unsafe_get small_boxes (Int64.to_int v)
+  else v
+
 let rec compile_stmt ctx (s : stmt) : cstmt =
   let env = ctx.cenv and r = ctx.cregs.rf in
   match s with
@@ -634,7 +654,7 @@ let rec compile_stmt ctx (s : stmt) : cstmt =
     let fld_err () = error "Packet.set_field: no field %s.%s" h f in
     fun pkt args _ ->
       code pkt args;
-      field_cell fc h f pkt ~hdr_err ~fld_err := get r at
+      field_cell fc h f pkt ~hdr_err ~fld_err := box (get r at)
   | Set_meta (m, e) ->
     let { code; at } = operand ctx e in
     let mc = mcellc () in
@@ -681,10 +701,10 @@ let rec compile_stmt ctx (s : stmt) : cstmt =
     let { code; at } = operand ctx c in
     let cth = compile_stmts ctx th in
     let cel = compile_stmts ctx el in
-    fun pkt args verdict ->
+    fun pkt args out ->
       code pkt args;
-      if Int64.equal (get r at) 0L then cel pkt args verdict
-      else cth pkt args verdict
+      if Int64.equal (get r at) 0L then cel pkt args out
+      else cth pkt args out
   | Loop (n, body) when n > 0 && loop_substitutable body ->
     let cell = alloc ctx 1 in
     let hoist = if body_hoistable body then leading_fields body else [] in
@@ -697,7 +717,7 @@ let rec compile_stmt ctx (s : stmt) : cstmt =
     in
     let c = 8 * cell and last = Int64.of_int (n - 1) in
     let mc = mcellc () in
-    fun pkt args verdict ->
+    fun pkt args out ->
       (try
          (* hoisted reads fault as iteration 0 would; the variable is
             set first so the handler publishes the iteration the
@@ -708,7 +728,7 @@ let rec compile_stmt ctx (s : stmt) : cstmt =
          done;
          for i = 0 to n - 1 do
            set r c (Int64.of_int i);
-           cbody pkt args verdict
+           cbody pkt args out
          done
        with e ->
          (* a fault escapes mid-loop: publish the iteration the
@@ -720,20 +740,29 @@ let rec compile_stmt ctx (s : stmt) : cstmt =
     let cbody = compile_stmts { ctx with cloop = None } body in
     let ivals = Array.init (max n 0) Int64.of_int in
     let mc = mcellc () in
-    fun pkt args verdict ->
+    fun pkt args out ->
       for i = 0 to n - 1 do
         mcell_set mc "_loop_i" pkt ivals.(i);
-        cbody pkt args verdict
+        cbody pkt args out
       done
   | Forward e ->
     let { code; at } = operand ctx e in
-    fun pkt args verdict ->
+    fun pkt args out ->
       code pkt args;
-      verdict.Interp.egress <- some_port (Int64.to_int (get r at))
-  | Drop -> fun _ _ verdict -> verdict.Interp.dropped <- true
+      let p = some_port (Int64.to_int (get r at)) in
+      out.forwarded <- true;
+      if out.v.Interp.egress != p then out.v.Interp.egress <- p
+  | Drop -> fun _ _ out -> out.v.Interp.dropped <- true
   | Punt digest ->
-    fun pkt _ verdict ->
-      verdict.Interp.punts <- digest :: verdict.Interp.punts;
+    (* the first punt of a run (usually the only one) leaves a list
+       built here; a later one conses onto it *)
+    let single = [ digest ] in
+    fun pkt _ out ->
+      if out.punted then out.v.Interp.punts <- digest :: out.v.Interp.punts
+      else begin
+        out.punted <- true;
+        if out.v.Interp.punts != single then out.v.Interp.punts <- single
+      end;
       env.Interp.punt digest pkt
   | Push_header h ->
     fun pkt _ _ ->
@@ -754,9 +783,9 @@ and compile_stmts ctx stmts : cstmt =
   | [ c ] -> c
   | cs ->
     let arr = Array.of_list cs in
-    fun pkt args verdict ->
+    fun pkt args out ->
       for i = 0 to Array.length arr - 1 do
-        arr.(i) pkt args verdict
+        arr.(i) pkt args out
       done
 
 (* -- Tables ------------------------------------------------------------ *)
@@ -804,7 +833,7 @@ type ctable = {
   ct_keys : cexpr; (* fills the key: words [ct_key, ct_key + ct_arity) *)
   ct_key : int;
   ct_arity : int;
-  ct_default : Netsim.Packet.t -> Interp.verdict -> unit;
+  ct_default : Netsim.Packet.t -> out -> unit;
   (* resolves a rule's (action, args) to its body and argument array *)
   ct_bind : string -> int64 list -> cstmt * int64 array;
   mutable ct_index : index;
@@ -848,10 +877,6 @@ let prepare_rule bind (r : rule) =
 let all_exact (pre : prepared) =
   Array.for_all (function P_exact _ -> true | _ -> false) pre.pre_matches
 
-let exact_key (pre : prepared) =
-  State.pack
-    (Array.map (function P_exact v -> v | _ -> assert false) pre.pre_matches)
-
 (** Rebuild a table's index from the environment's current rule list.
     Each rule is prepared once, and the sort reads the prepared
     priority and specificity. The rule list is newest-first; the
@@ -883,12 +908,19 @@ let build_index env (ct : ctable) =
     match sorted with
     | _ :: _ when List.for_all all_exact sorted ->
       let h = State.Key_tbl.create (List.length sorted) in
+      (* each rule's key is written into one buffer, which the index
+         copies on insert: a rebuild makes no garbage per rule *)
+      let kb = Bytes.create (8 * max 1 arity) in
       (* first in sorted order wins a duplicate key tuple *)
       List.iter
         (fun pre ->
-          let k = exact_key pre in
-          if not (State.Key_tbl.mem h k 0 arity) then
-            State.Key_tbl.add h k 0 arity pre)
+          for i = 0 to arity - 1 do
+            match pre.pre_matches.(i) with
+            | P_exact v -> set kb (8 * i) v
+            | _ -> assert false
+          done;
+          if not (State.Key_tbl.mem h kb 0 arity) then
+            State.Key_tbl.add h kb 0 arity pre)
         sorted;
       Hash_index h
     | _ -> Scan (Array.of_list sorted)
@@ -930,7 +962,7 @@ let compile_table env (t : table) : ctable =
     ct_arity;
     ct_default =
       (let body, args = bind default_name default_args in
-       fun pkt verdict -> body pkt args verdict);
+       fun pkt out -> body pkt args out);
     ct_bind = bind;
     ct_index = Scan [||];
     ct_gen = -1 }
@@ -973,7 +1005,7 @@ let probe_auth auth r k n =
   | Scan arr -> scan_from arr r k n 0
   | Tiered _ -> assert false (* td_auth is never itself tiered *)
 
-let exec_ctable env (ct : ctable) pkt verdict =
+let exec_ctable env (ct : ctable) pkt out =
   if ct.ct_gen <> env.Interp.rules_gen then build_index env ct;
   (* key expressions are always evaluated, rules installed or not — a
      missing header must fault exactly as in the interpreter — and
@@ -988,34 +1020,37 @@ let exec_ctable env (ct : ctable) pkt verdict =
        | memo -> memo (* device-tier hit *)
        | exception Not_found ->
          (* device-tier fault: the authoritative lookup serves the
-            packet (slow path), and the binding is demand-paged in
-            through the runtime's hook. The hook may commit after
-            later packets have refilled the key words, so it gets a
-            copy. The commit closure re-checks the generation so a
-            promotion that lands after a rule change (async dRPC) is
-            dropped, not applied stale: the generation moves before
-            any rebuild replaces the index, so an unchanged one
-            proves the index and its device tier are the ones
-            faulted on. *)
+            packet (slow path), and the binding is paged in. With no
+            paging runtime it is promoted in place, from the key's
+            words. A runtime's hook may commit after later packets
+            have refilled the key words, so it gets a copy; the
+            commit closure re-checks the generation so a promotion
+            that lands after a rule change (async dRPC) is dropped,
+            not applied stale: the generation moves before any
+            rebuild replaces the index, so an unchanged one proves
+            the index and its device tier are the ones faulted on. *)
          let winner = probe_auth td_auth r k n in
-         let gen = ct.ct_gen in
-         let key = Bytes.sub r (8 * k) (8 * n) in
-         env.Interp.page_in ct.ct_table.tbl_name key (fun () ->
-             if ct.ct_gen = gen && env.Interp.rules_gen = gen then
-               match ct.ct_index with
-               | Tiered { td_cache; _ } ->
-                 State.Tier.promote td_cache key 0 (Bytes.length key / 8) winner
-               | _ -> ());
+         (match env.Interp.page_in with
+          | None -> State.Tier.promote td_cache r k n winner
+          | Some page_in ->
+            let gen = ct.ct_gen in
+            let key = Bytes.sub r (8 * k) (8 * n) in
+            page_in ct.ct_table.tbl_name key (fun () ->
+                if ct.ct_gen = gen && env.Interp.rules_gen = gen then
+                  match ct.ct_index with
+                  | Tiered { td_cache; _ } ->
+                    State.Tier.promote td_cache key 0 n winner
+                  | _ -> ()));
          winner)
     | auth -> probe_auth auth r k n
   in
   if selected != no_rule then begin
     cc_bump env ct.ct_hit;
-    selected.pre_body pkt selected.pre_args verdict
+    selected.pre_body pkt selected.pre_args out
   end
   else begin
     cc_bump env ct.ct_miss;
-    ct.ct_default pkt verdict
+    ct.ct_default pkt out
   end
 
 (* -- Parser ------------------------------------------------------------ *)
@@ -1079,6 +1114,9 @@ type celement =
   | C_table of ctable
   | C_block of cstmt
 
+(* A compiled program owns the verdict its runs fill and the two
+   results that carry it without a fault, so a run allocates nothing.
+   A result is therefore valid until the program's next run. *)
 type t = {
   c_prog : program;
   c_env : Interp.env;
@@ -1087,6 +1125,9 @@ type t = {
   c_reject : ccnt;
   c_error : ccnt;
   c_pipeline : celement array;
+  c_out : out;
+  c_accepted : Interp.result; (* parsed, no fault *)
+  c_rejected : Interp.result; (* the parser rejected the packet *)
 }
 
 (* The index of the first element of [olds] (the tail of a previous
@@ -1135,37 +1176,54 @@ let compile ?prev (env : Interp.env) (prog : program) : t =
             end))
        prog.pipeline
    | _ -> List.iteri (fun j el -> pipeline.(j) <- fresh el) prog.pipeline);
+  let verdict = Interp.fresh_verdict () in
   { c_prog = prog;
     c_env = env;
     c_parser = compile_parser prog;
     c_accept = ccnt "parser.accept";
     c_reject = ccnt "parser.reject";
     c_error = ccnt "runtime.error";
-    c_pipeline = pipeline }
+    c_pipeline = pipeline;
+    c_out = { v = verdict; forwarded = false; punted = false };
+    c_accepted = { Interp.verdict; parse_ok = true; runtime_error = None };
+    c_rejected = { Interp.verdict; parse_ok = false; runtime_error = None } }
 
 let program t = t.c_prog
 let env t = t.c_env
 
+(* Clear what the run did not set: no forward leaves no egress, no
+   punt no digests. *)
+let finish out =
+  let v = out.v in
+  if (not out.forwarded) && v.Interp.egress != None then v.Interp.egress <- None;
+  if (not out.punted) && v.Interp.punts != [] then v.Interp.punts <- []
+
 let run (t : t) pkt : Interp.result =
-  let env = t.c_env in
-  let verdict = Interp.fresh_verdict () in
+  let env = t.c_env and out = t.c_out in
+  let verdict = out.v in
+  out.forwarded <- false;
+  out.punted <- false;
+  verdict.Interp.dropped <- false;
   if not (parser_accepts t.c_parser pkt) then begin
     cc_bump env t.c_reject;
     verdict.Interp.dropped <- true;
-    { Interp.verdict; parse_ok = false; runtime_error = None }
+    finish out;
+    t.c_rejected
   end
   else begin
     cc_bump env t.c_accept;
     try
       for i = 0 to Array.length t.c_pipeline - 1 do
         match t.c_pipeline.(i) with
-        | C_table ct -> exec_ctable env ct pkt verdict
-        | C_block cb -> cb pkt no_args verdict
+        | C_table ct -> exec_ctable env ct pkt out
+        | C_block cb -> cb pkt no_args out
       done;
-      { Interp.verdict; parse_ok = true; runtime_error = None }
+      finish out;
+      t.c_accepted
     with Interp.Eval_error msg ->
       cc_bump env t.c_error;
       verdict.Interp.dropped <- true;
+      finish out;
       { Interp.verdict; parse_ok = true; runtime_error = Some msg }
   end
 

@@ -26,7 +26,8 @@
     staged in a register and loop-invariant field reads hoisted to
     registers filled at loop entry; the [hash(...) mod width] sketch
     idiom fuses into a single closure. A value is boxed only where it
-    leaves into an [int64 ref]: a field or metadata write, and the loop
+    leaves into an [int64 ref]: a field or metadata write (a field
+    write of a value below 1024 shares a prebuilt box), and the loop
     variable's publication.
 
     [Interp] remains the executable specification of FlexBPF; compiled
@@ -52,7 +53,15 @@ val program : t -> Ast.program
 val env : t -> Interp.env
 
 (** Run the compiled program on one packet: parser gate, then the
-    pipeline in order. Semantics identical to [Interp.run env prog]. *)
+    pipeline in order. Semantics identical to [Interp.run env prog].
+
+    A run allocates nothing in steady state, so the result and its
+    verdict belong to [t]: every run resets and refills the same
+    verdict, and returns one of two prebuilt results (only a run that
+    faults builds its own, to carry the message). A result is valid
+    until [t]'s next run; a caller that keeps one longer must copy it.
+    Two compiled programs, the old and new one across a recompile
+    among them, never share a verdict. *)
 val run : t -> Netsim.Packet.t -> Interp.result
 
 (** {2 Tiered match tables}
@@ -61,8 +70,9 @@ val run : t -> Netsim.Packet.t -> Interp.result
     executes through a two-tier index: a bounded key-tuple → memoized
     winner cache ([State.Tier]) in front of the authoritative
     per-generation index. A device-tier fault is served by the
-    authoritative lookup (same result, slower) and demand-paged in
-    through [Interp.env.page_in]. Because bindings memoize full
+    authoritative lookup (same result, slower) and paged in: promoted
+    in place when [Interp.env.page_in] is [None], else through that
+    hook (on a copy of the key). Because bindings memoize full
     first-match {e results} (including "no match" = default action),
     residency never affects semantics — only latency — and any
     generation bump flushes the tier. *)

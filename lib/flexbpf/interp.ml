@@ -28,16 +28,16 @@ type env = {
          compiled fast path (Compile) tiers its rule index accordingly;
          this reference interpreter ignores it — it IS the unbounded
          host tier. *)
-  mutable page_in : string -> Bytes.t -> (unit -> unit) -> unit;
+  mutable page_in : (string -> Bytes.t -> (unit -> unit) -> unit) option;
       (* demand-paging hook: [page_in table key commit] asks the
          runtime to fault [key]'s binding into [table]'s device tier;
          calling [commit] performs the promotion. [key] is a flat copy
          the hook may keep (an async commit), its words filling the
-         buffer. The default commits
-         immediately (deterministic, no runtime); [Runtime.Drpc]
-         rebinds it so promotion rides the dRPC timeout/backoff
-         machinery — a dropped page means no promotion, never a wrong
-         result. *)
+         buffer. [None] (the default) promotes in place at the fault,
+         with no copy and no closure (deterministic, no runtime);
+         [Runtime.Drpc] sets a hook so promotion rides the dRPC
+         timeout/backoff machinery — a dropped page means no
+         promotion, never a wrong result. *)
   mutable stats : Obs.Metrics.t;
   mutable work : int;
       (* cumulative executed work units, on the [Analysis.stmt_cost]
@@ -64,7 +64,7 @@ let create_env ?(default_encoding = State.Stateful_table) (prog : program) =
     punt = (fun _ _ -> ());
     drpc = (fun _ _ -> 0L);
     tier_caps = Hashtbl.create 4;
-    page_in = (fun _ _ commit -> commit ());
+    page_in = None;
     stats = Obs.Metrics.create (); work = 0 }
 
 let env_map env name =

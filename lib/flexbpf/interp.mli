@@ -28,13 +28,15 @@ type env = {
       (* table -> device-tier capacity in rules; absent = unbounded
          flat store. Only the compiled fast path tiers its index — the
          interpreter is the authoritative (host-tier) reference. *)
-  mutable page_in : string -> Bytes.t -> (unit -> unit) -> unit;
+  mutable page_in : (string -> Bytes.t -> (unit -> unit) -> unit) option;
       (* demand-paging hook: [page_in table key commit]; [commit]
          performs the promotion into the device tier. [key] is the
          caller's own flat copy (the key's words fill the buffer), so
          the hook may hold it past the call.
-         Defaults to an immediate commit; [Runtime.Drpc.bind_paging]
-         reroutes it over dRPC so drops delay promotion, never
+         [None] (the default): a fault promotes in place, straight
+         from the key's words, allocating nothing.
+         [Runtime.Drpc.bind_paging] sets a hook that routes the
+         promotion over dRPC, so drops delay promotion, never
          correctness. *)
   mutable stats : Obs.Metrics.t;
   mutable work : int;

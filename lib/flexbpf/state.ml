@@ -246,22 +246,22 @@ let ix_add ix b k n =
   e
 
 (* Backward-shift deletion: walk the run after the hole and move back
-   every entry whose probe path from its home slot crosses the hole. *)
+   every entry whose probe path from its home slot crosses the hole.
+   Top level, so a removal builds no closure. *)
+let rec shift_back ix s mask hole j =
+  let f = s.((2 * j) + 1) in
+  if f < 0 then s.((2 * hole) + 1) <- -1
+  else if (j - s.(2 * j)) land mask >= (j - hole) land mask then begin
+    s.(2 * hole) <- s.(2 * j);
+    s.((2 * hole) + 1) <- f;
+    ix.at.(f) <- hole;
+    shift_back ix s mask j ((j + 1) land mask)
+  end
+  else shift_back ix s mask hole ((j + 1) land mask)
+
 let ix_remove ix e =
-  let s = ix.slots and mask = ix.mask in
-  let rec shift hole j =
-    let f = s.((2 * j) + 1) in
-    if f < 0 then s.((2 * hole) + 1) <- -1
-    else if (j - s.(2 * j)) land mask >= (j - hole) land mask then begin
-      s.(2 * hole) <- s.(2 * j);
-      s.((2 * hole) + 1) <- f;
-      ix.at.(f) <- hole;
-      shift j ((j + 1) land mask)
-    end
-    else shift hole ((j + 1) land mask)
-  in
   let i = ix.at.(e) in
-  shift i ((i + 1) land mask);
+  shift_back ix ix.slots ix.mask i ((i + 1) land ix.mask);
   set64 ix.words (len_at ix e) (-1L);
   ix.at.(e) <- ix.free;
   ix.free <- e;
@@ -389,7 +389,13 @@ type store =
   | Fs of fs_store
   | St of lru
 
-type t = { name : string; store : store }
+type t = {
+  name : string;
+  store : store;
+  mutable scratch : Bytes.t;
+    (* the host-side API's packed key and value word, grown on demand;
+       each call consumes it before returning *)
+}
 
 let create ~name ~size (enc : concrete) =
   let size = max 1 size in
@@ -401,7 +407,7 @@ let create ~name ~size (enc : concrete) =
     | Flow_state -> Fs { fs = ix_create ~vw:1 size; overflow_count = 0 }
     | Stateful_table -> St (lru_create ~vw:1 size)
   in
-  { name; store }
+  { name; store; scratch = Bytes.empty }
 
 let of_decl (decl : Ast.map_decl) ?(default = Stateful_table) () =
   let enc =
@@ -525,27 +531,39 @@ let remove t b k n =
     if e >= 0 then ix_remove f.fs e
   | St l -> ignore (lru_remove l b k n)
 
-(* -- Host-side access: the same path, with the key packed and one
-   spare word after it for the value. -- *)
+(* -- Host-side access: the same path, with the key packed into the
+   store's scratch buffer and one spare word after it for the value.
+   The probe reads the words at once and an insert copies them, so the
+   buffer is free again when the call returns. -- *)
+
+let packed t (key : key) =
+  let n = Array.length key in
+  if Bytes.length t.scratch < 8 * (n + 1) then
+    t.scratch <- Bytes.create (8 * (n + 1));
+  let b = t.scratch in
+  for i = 0 to n - 1 do
+    set64 b (8 * i) (Array.unsafe_get key i)
+  done;
+  b
 
 let get t (key : key) =
-  let n = Array.length key and b = pack key in
+  let n = Array.length key and b = packed t key in
   read t b 0 n n;
   word b n
 
-let mem t (key : key) = holds t (pack key) 0 (Array.length key)
+let mem t (key : key) = holds t (packed t key) 0 (Array.length key)
 
 let put t (key : key) v =
-  let n = Array.length key and b = pack key in
+  let n = Array.length key and b = packed t key in
   set64 b (8 * n) v;
   write t b 0 n n
 
 let incr t (key : key) delta =
-  let n = Array.length key and b = pack key in
+  let n = Array.length key and b = packed t key in
   set64 b (8 * n) delta;
   add t b 0 n n
 
-let del t (key : key) = remove t (pack key) 0 (Array.length key)
+let del t (key : key) = remove t (packed t key) 0 (Array.length key)
 
 (* Registers in slot order, flow state in entry order (insertion order
    until a deletion frees an entry for reuse), stateful tables least

@@ -180,7 +180,7 @@ let bind_paging ?(latency = 20e-6) ?timeout ?max_retries t device =
   let env = Targets.Device.env device in
   let dev_id = Targets.Device.id device in
   env.Flexbpf.Interp.page_in <-
-    (fun table key commit ->
+    Some (fun table key commit ->
       let key = Flexbpf.State.key_of key 0 (Bytes.length key / 8) in
       let span =
         Obs.Trace.start (tracer t) "table.fault"

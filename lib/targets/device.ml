@@ -57,17 +57,22 @@ type t = {
 (** Structural state captured at [freeze]. Map {e contents} are not
     snapshotted: traffic keeps mutating state under the old program
     during the window, and rollback must not clobber those updates —
-    only maps and tables {e added} by the aborted update are removed. *)
+    only maps and tables {e added} by the aborted update are removed.
+    The environment is not listed at freeze: the window logs what it
+    adds, so a freeze costs the same however much the device holds. *)
 and checkpoint = {
   ck_occ : Resource.snapshot; (* immutable: kept, not copied *)
   ck_headers : Ast.header_decl list;
   ck_parser : Ast.parser_rule list;
   ck_map_decls : Ast.map_decl list;
-  ck_env_maps : string list; (* env map names present at freeze *)
-  ck_env_tables : string list; (* registered table names at freeze *)
-  ck_tier_caps : (string * int) list; (* device-tier bounds at freeze *)
   ck_version : int;
+  mutable ck_undo : undo list; (* the window's additions, newest first *)
 }
+
+and undo =
+  | Added_map of string (* an env map bound by the window *)
+  | Added_table of string (* a table registered by the window *)
+  | Tier_cap of string * int option (* a bound changed, and its prior value *)
 
 (** The compiler's state-encoding selection (§3.1): each architecture
     class has a natural physical encoding for logical maps. *)
@@ -87,6 +92,16 @@ let shape_of_profile (p : Arch.profile) : Resource.shape =
       { tiles = p.tiles; tile_bytes = p.tile_bytes; pool = p.pool }
   | Arch.Drmt | Arch.Smartnic | Arch.Fpga | Arch.Host_ebpf ->
     Resource.Sh_pooled { pool = p.pool }
+
+(* Record an addition to the environment while a window is open. *)
+let log_undo t u =
+  match t.checkpoint with
+  | Some ck -> ck.ck_undo <- u :: ck.ck_undo
+  | None -> ()
+
+let set_tier_capacity t name cap =
+  log_undo t (Tier_cap (name, Interp.tier_capacity t.env name));
+  Interp.set_tier_capacity t.env name cap
 
 let create ?(id = "dev") (profile : Arch.profile) =
   let empty_prog =
@@ -216,6 +231,8 @@ let instantiate_maps t ~(before : Resource.snapshot) (ctx : Ast.program)
                    (State.concrete_of_encoding decl.encoding)
                    ~default:(default_encoding_of_kind t.profile.kind)
                in
+               if not (Hashtbl.mem t.env.Interp.maps name) then
+                 log_undo t (Added_map name);
                Interp.set_env_map t.env name
                  (State.create ~name ~size:decl.map_size enc);
                t.map_decls <- t.map_decls @ [ decl ])
@@ -236,6 +253,8 @@ let install t ~(ctx : Ast.program) ~order element =
     instantiate_maps t ~before ctx element;
     (match element with
      | Ast.Table tbl ->
+       if not (Hashtbl.mem t.env.Interp.tables tbl.Ast.tbl_name) then
+         log_undo t (Added_table tbl.Ast.tbl_name);
        Interp.register_table t.env tbl;
        (* the placed entry carries the residency of a table admitted
           oversubscribed: its device tier is bounded *)
@@ -245,11 +264,10 @@ let install t ~(ctx : Ast.program) ~order element =
             (fun p -> p.Resource.pl_residency)
         with
         | Some r ->
-          Interp.set_tier_capacity t.env tbl.Ast.tbl_name
-            r.Resource.res_device_rules
+          set_tier_capacity t tbl.Ast.tbl_name r.Resource.res_device_rules
         | None ->
           if Interp.tier_capacity t.env tbl.Ast.tbl_name <> None then
-            Interp.set_tier_capacity t.env tbl.Ast.tbl_name 0)
+            set_tier_capacity t tbl.Ast.tbl_name 0)
      | Ast.Block _ -> ());
     rebuild_program t;
     Ok slot
@@ -348,8 +366,6 @@ let remove_parser_rule t name =
 
 (* -- Execution -------------------------------------------------------- *)
 
-let hashtbl_keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl []
-
 (** Begin a reconfiguration window: traffic keeps seeing the current
     program — through its already-staged fast path — until [thaw].
     Also snapshots the structural state so a mid-update crash or abort
@@ -364,12 +380,8 @@ let freeze t =
           ck_headers = t.headers;
           ck_parser = t.parser;
           ck_map_decls = t.map_decls;
-          ck_env_maps = hashtbl_keys t.env.Interp.maps;
-          ck_env_tables = hashtbl_keys t.env.Interp.tables;
-          ck_tier_caps =
-            Hashtbl.fold (fun k v acc -> (k, v) :: acc)
-              t.env.Interp.tier_caps [];
-          ck_version = t.version }
+          ck_version = t.version;
+          ck_undo = [] }
   end
 
 (** End the reconfiguration window: the new program becomes visible
@@ -409,28 +421,17 @@ let rollback t =
     t.headers <- ck.ck_headers;
     t.parser <- ck.ck_parser;
     t.map_decls <- ck.ck_map_decls;
+    (* undo newest first, so a bound changed twice ends at its value
+       at freeze; tier bounds obey old-XOR-new like the rest *)
     List.iter
-      (fun name ->
-        if not (List.mem name ck.ck_env_maps) then
-          Interp.remove_env_map t.env name)
-      (hashtbl_keys t.env.Interp.maps);
-    List.iter
-      (fun name ->
-        if not (List.mem name ck.ck_env_tables) then
-          Interp.unregister_table t.env name)
-      (hashtbl_keys t.env.Interp.tables);
-    (* tier bounds changed by the aborted update are restored too —
-       both tiers obey old-XOR-new *)
-    List.iter
-      (fun name ->
-        if not (List.mem_assoc name ck.ck_tier_caps) then
-          Interp.set_tier_capacity t.env name 0)
-      (hashtbl_keys t.env.Interp.tier_caps);
-    List.iter
-      (fun (name, cap) ->
-        if Interp.tier_capacity t.env name <> Some cap then
-          Interp.set_tier_capacity t.env name cap)
-      ck.ck_tier_caps;
+      (function
+        | Added_map name -> Interp.remove_env_map t.env name
+        | Added_table name -> Interp.unregister_table t.env name
+        | Tier_cap (name, prior) ->
+          if Interp.tier_capacity t.env name <> prior then
+            Interp.set_tier_capacity t.env name
+              (Option.value prior ~default:0))
+      ck.ck_undo;
     (* deferred cleanups belong to the aborted new version: the old
        program's maps/tables were never actually removed, so dropping
        the cleanups restores them fully *)

@@ -86,7 +86,9 @@ val remove_parser_rule : t -> string -> bool
 (** {2 Two-version consistency} *)
 
 (** Begin a reconfiguration window: traffic keeps seeing the current
-    program until [thaw]. Idempotent. *)
+    program until [thaw]. Idempotent. The window logs the maps, tables
+    and tier bounds it adds instead of listing the resident ones, so a
+    freeze allocates the same whatever the device holds. *)
 val freeze : t -> unit
 
 (** End the window: the new program becomes visible atomically. *)
@@ -96,9 +98,10 @@ val is_frozen : t -> bool
 
 (** Abort the open window: restore the structural state captured at
     [freeze] (the snapshot among it) and resume on the old program. Maps/tables added by the
-    aborted update are dropped; pre-existing map contents (still being
-    mutated by traffic under the old program) are kept. No-op when not
-    frozen. *)
+    aborted update are dropped and tier bounds it changed are restored,
+    as logged by [install] during the window; pre-existing map contents
+    (still being mutated by traffic under the old program) are kept.
+    No-op when not frozen. *)
 val rollback : t -> unit
 
 (** {2 Crash / restart} *)
@@ -134,7 +137,9 @@ val precompile : t -> unit
 (** Run the active program on a packet through the closure-compiled
     fast path ([Flexbpf.Compile]; [Flexbpf.Interp] is the reference
     semantics), stamping the packet's [epoch] with the observed program
-    version. *)
+    version. The result belongs to the compiled program that ran it
+    (see [Flexbpf.Compile.run]): read it before the next [exec] of this
+    device. *)
 val exec : t -> now_us:int64 -> Netsim.Packet.t -> Flexbpf.Interp.result
 
 (** Per-packet processing latency of the installed program. *)

@@ -817,16 +817,15 @@ let test_frozen_program_isolated () =
 
 (* Minor-heap words per [Compile.run] after warm-up, exact in native
    code ([Gc.minor_words] counts this domain's allocation and does not
-   allocate itself). Lookups, keys, map state and the device tier
-   allocate nothing, and neither do expressions, whose values stay in
-   the register file; each ceiling is the documented residual:
-   - 8: the fresh [Interp.verdict] (4) and [result] record (4), paid
-     by every run;
-   - 3: l2l3's TTL write, the box a value takes to leave into a field
-     cell;
-   - 3: l2l3's [punt "l2_miss"] cons (no L2 rules installed).
-   The bytecode backend boxes differently, so only native runs are
-   gated. *)
+   allocate itself). The residual is 0 words everywhere: lookups, keys,
+   map state and the device tier allocate nothing, expressions keep
+   their values in the register file, the verdict and the result are
+   the compiled program's own, a field write of a small value (l2l3's
+   TTL) shares a prebuilt box, a run's first punt stores a list built
+   at compile time, a device-tier miss with no paging runtime promotes
+   in place, and a keyed-store removal (eviction, [Map_del]) builds no
+   closure. The bytecode backend boxes differently, so only native
+   runs are gated. *)
 let words_per_run compiled pkts ~before =
   let n = 2000 in
   let go () =
@@ -872,12 +871,17 @@ let test_allocation_gate () =
   Interp.install_rule env "ipv4_lpm"
     (rule ~priority:1 ~matches:[ lpm_i 0 24 ] ~action:("route", [ 3 ]) ());
   let ttls = ttl_cells pkts in
-  gate "l2l3" ~ceiling:14
-    (words_per_run (Compile.compile env prog) pkts ~before:(fun j ->
-         ttls.(j) := 64L));
+  let compiled = Compile.compile env prog in
+  gate "l2l3" ~ceiling:0
+    (words_per_run compiled pkts ~before:(fun j -> ttls.(j) := 64L));
+  (* no L2 rule: every packet is routed and punted once *)
+  let r = Compile.run compiled pkts.(0) in
+  Alcotest.(check (list string)) "l2l3 punts l2_miss" [ "l2_miss" ]
+    r.Interp.verdict.Interp.punts;
+  check_port "l2l3 routes" (Some 3) r.Interp.verdict.Interp.egress;
   (* count-min, depth 3 *)
   let prog = Apps.Cm_sketch.program () in
-  gate "count-min" ~ceiling:8
+  gate "count-min" ~ceiling:0
     (words_per_run (Compile.compile (Interp.create_env prog) prog) pkts
        ~before:ignore);
   (* the same sketch on the other two encodings *)
@@ -886,7 +890,7 @@ let test_allocation_gate () =
       let env = Interp.create_env ~default_encoding:enc prog in
       gate
         ("count-min on " ^ State.concrete_to_string enc)
-        ~ceiling:8
+        ~ceiling:0
         (words_per_run (Compile.compile env prog) pkts ~before:ignore))
     [ State.Registers; State.Flow_state ];
   (* an expression that reads a map *)
@@ -898,7 +902,7 @@ let test_allocation_gate () =
             when_ (map_get "m" [ field "ipv4" "dst" ] +: const 1 >: const 60)
               [ drop ] ] ]
   in
-  gate "map read in an expression" ~ceiling:8
+  gate "map read in an expression" ~ceiling:0
     (words_per_run (Compile.compile (Interp.create_env prog) prog) pkts
        ~before:ignore);
   (* exact forwarding, every destination installed *)
@@ -911,18 +915,112 @@ let test_allocation_gate () =
     env
   in
   let prog = program "fwd" [ fwd_table ] in
-  gate "flat exact table" ~ceiling:8
+  gate "flat exact table" ~ceiling:0
     (words_per_run (Compile.compile (fwd_env ()) prog) pkts ~before:ignore);
   (* the same table with a device tier that holds the working set:
      after warm-up every lookup is a device-tier hit *)
   let env = fwd_env () in
   Interp.set_tier_capacity env "t" 64;
   let compiled = Compile.compile env prog in
-  gate "tiered table, device-tier hits" ~ceiling:8
+  gate "tiered table, device-tier hits" ~ceiling:0
     (words_per_run compiled pkts ~before:ignore);
   match Compile.tier_stats compiled with
   | [ s ] -> Alcotest.(check int) "warm-up took every miss" 64 s.Compile.ts_misses
   | _ -> Alcotest.fail "expected one tiered table"
+
+let exact_fwd_env () =
+  let env = Interp.create_env (program "fwd" [ fwd_table ]) in
+  for d = 1 to 64 do
+    Interp.install_rule env "t" (rule ~matches:[ exact_i d ] ~action:("fwd", [ d ]) ())
+  done;
+  env
+
+(* A device tier of 16 under 64 destinations in a cycle: every lookup
+   misses, is served by the host tier, and is promoted in place over an
+   LRU eviction (no paging runtime, so no key copy and no commit
+   closure). *)
+let test_allocation_tier_misses () =
+  let pkts = gate_pkts () in
+  let env = exact_fwd_env () in
+  Interp.set_tier_capacity env "t" 16;
+  let prog = program "fwd" [ fwd_table ] in
+  let compiled = Compile.compile env prog in
+  gate "tiered table, misses and evictions" ~ceiling:0
+    (words_per_run compiled pkts ~before:ignore);
+  match Compile.tier_stats compiled with
+  | [ s ] ->
+    (* 4000 lookups; the 16 at the start of the measured pass hit,
+       since 2000 mod 64 = 16 left exactly them resident *)
+    Alcotest.(check int) "all other lookups missed" 3984 s.Compile.ts_misses;
+    Alcotest.(check int) "every miss promoted" 3984 s.Compile.ts_promotions;
+    Alcotest.(check int) "every promotion past the first 16 evicted" 3968
+      s.Compile.ts_evictions
+  | _ -> Alcotest.fail "expected one tiered table"
+
+(* A per-packet insert and [Map_del] of the same key on each keyed
+   encoding: the removal's backward shift builds no closure. *)
+let test_allocation_map_del () =
+  let pkts = gate_pkts () in
+  let prog =
+    program "del"
+      ~maps:[ map_decl ~key_arity:1 ~size:64 "m" ]
+      [ block "b"
+          [ map_incr "m" [ field "ipv4" "dst" ]; map_del "m" [ field "ipv4" "dst" ] ] ]
+  in
+  List.iter
+    (fun enc ->
+      let env = Interp.create_env ~default_encoding:enc prog in
+      gate
+        ("map_del on " ^ State.concrete_to_string enc)
+        ~ceiling:0
+        (words_per_run (Compile.compile env prog) pkts ~before:ignore);
+      Alcotest.(check int)
+        ("map_del on " ^ State.concrete_to_string enc ^ " leaves it empty")
+        0
+        (State.size (Interp.env_map env "m")))
+    [ State.Stateful_table; State.Flow_state; State.Registers ]
+
+(* -- Result ownership ---------------------------------------------------------- *)
+
+(* A run returns its compiled program's own verdict, valid until that
+   program's next run: another device's run leaves it alone, and the
+   old and new programs across a two-version window keep separate
+   verdicts. *)
+let test_result_ownership () =
+  let ctx = program "ctx" [ fwd_table ] in
+  let mk port =
+    let dev = Targets.Device.create ~id:"d" Targets.Arch.drmt in
+    (match Targets.Device.install dev ~ctx ~order:0 fwd_table with
+     | Ok _ -> ()
+     | Error r -> Alcotest.failf "install: %s" (Targets.Resource.reject_to_string r));
+    Interp.install_rule (Targets.Device.env dev) "t"
+      (rule ~matches:[ exact_i 2 ] ~action:("fwd", [ port ]) ());
+    dev
+  in
+  let exec dev =
+    Targets.Device.exec dev ~now_us:0L
+      (Netsim.Traffic.tcp_packet ~src:1 ~dst:2 ~sport:1 ~dport:2 ~born:0. ())
+  in
+  let dev_a = mk 7 and dev_b = mk 9 in
+  let ra = exec dev_a in
+  let rb = exec dev_b in
+  check "two devices, two verdicts" true (ra.Interp.verdict != rb.Interp.verdict);
+  check_port "device a's result survives b's run" (Some 7)
+    ra.Interp.verdict.Interp.egress;
+  check_port "device b's result" (Some 9) rb.Interp.verdict.Interp.egress;
+  (* a window that drops the table: the frozen program still forwards,
+     the new one (staged at thaw) forwards nothing *)
+  Targets.Device.freeze dev_a;
+  check "uninstall under freeze" true (Targets.Device.uninstall dev_a "t");
+  let old_r = exec dev_a in
+  check_port "frozen program forwards" (Some 7) old_r.Interp.verdict.Interp.egress;
+  Targets.Device.thaw dev_a;
+  let new_r = exec dev_a in
+  check "old and new programs, two verdicts" true
+    (old_r.Interp.verdict != new_r.Interp.verdict);
+  check_port "new program forwards nothing" None new_r.Interp.verdict.Interp.egress;
+  check_port "the old program's result survives the new one's run" (Some 7)
+    old_r.Interp.verdict.Interp.egress
 
 let () =
   Alcotest.run "compile"
@@ -936,7 +1034,13 @@ let () =
             test_incr_keyed_by_own_get ] );
       ( "allocation",
         [ Alcotest.test_case "words per run at the residual" `Quick
-            test_allocation_gate ] );
+            test_allocation_gate;
+          Alcotest.test_case "tier misses under eviction" `Quick
+            test_allocation_tier_misses;
+          Alcotest.test_case "per-packet map_del" `Quick test_allocation_map_del ] );
+      ( "result_ownership",
+        [ Alcotest.test_case "one verdict per compiled program" `Quick
+            test_result_ownership ] );
       ( "install_validation",
         [ Alcotest.test_case "rule arity checked" `Quick
             test_install_arity_validated ] );

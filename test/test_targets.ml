@@ -503,6 +503,75 @@ let test_rollback_restores_snapshot () =
   Alcotest.(check (list string)) "snapshot restored" []
     (Targets.Resource.diff before (Targets.Device.snapshot dev))
 
+(* A window's fixed cost: [freeze] logs what the window adds instead of
+   listing the device's resident maps, tables and tier bounds, so an
+   empty freeze + thaw allocates the same at 20 and at 200 resident
+   counter tenants. Exact in native code only. *)
+let freeze_thaw_words ~residents =
+  let dev = Targets.Device.create Targets.Arch.host_ebpf in
+  for i = 0 to residents - 1 do
+    let m = Printf.sprintf "cnt%d" i in
+    let b = block (Printf.sprintf "counter%d" i) [ map_incr m [ const 0 ] ] in
+    let t = small_table (Printf.sprintf "t%d" i) in
+    let ctx = program "ctx" ~maps:[ map_decl ~key_arity:1 ~size:16 m ] [ b; t ] in
+    List.iteri
+      (fun j el ->
+        match Targets.Device.install dev ~ctx ~order:((2 * i) + j) el with
+        | Ok _ -> ()
+        | Error r ->
+          Alcotest.failf "install: %s" (Targets.Resource.reject_to_string r))
+      [ b; t ];
+    Flexbpf.Interp.set_tier_capacity (Targets.Device.env dev)
+      (Printf.sprintf "t%d" i) 4
+  done;
+  let window () =
+    Targets.Device.freeze dev;
+    Targets.Device.thaw dev
+  in
+  window ();
+  let w0 = Gc.minor_words () in
+  window ();
+  Gc.minor_words () -. w0
+
+let test_freeze_cost_flat () =
+  let w20 = freeze_thaw_words ~residents:20 in
+  let w200 = freeze_thaw_words ~residents:200 in
+  if Sys.backend_type = Sys.Native then
+    check
+      (Printf.sprintf "freeze+thaw words %.0f at 200 residents = %.0f at 20"
+         w200 w20)
+      true (w200 = w20)
+
+(* A rollback undoes exactly what the window added: the new map, the
+   new table and its tier bound go, a changed bound returns to its
+   value at freeze, and what was resident stays. *)
+let test_rollback_undoes_window_log () =
+  let dev = Targets.Device.create Targets.Arch.drmt in
+  let env = Targets.Device.env dev in
+  let m = map_decl ~key_arity:1 ~size:16 "cnt" in
+  let b = block "counter" [ map_incr "cnt" [ const 0 ] ] in
+  let ctx = program "ctx" ~maps:[ m ] [ b; small_table "t" ] in
+  ignore (Targets.Device.install dev ~ctx ~order:0 b);
+  ignore (Targets.Device.install dev ~ctx ~order:1 (small_table "t"));
+  Flexbpf.Interp.set_tier_capacity env "t" 4;
+  Targets.Device.freeze dev;
+  let m2 = map_decl ~key_arity:1 ~size:16 "cnt2" in
+  let b2 = block "counter2" [ map_incr "cnt2" [ const 0 ] ] in
+  let ctx2 = program "ctx2" ~maps:[ m2 ] [ b2; small_table "u" ] in
+  ignore (Targets.Device.install dev ~ctx:ctx2 ~order:2 b2);
+  ignore (Targets.Device.install dev ~ctx:ctx2 ~order:3 (small_table "u"));
+  (* re-installing "t" unbounded clears its bound inside the window *)
+  check "uninstall t" true (Targets.Device.uninstall dev "t");
+  ignore (Targets.Device.install dev ~ctx ~order:4 (small_table "t"));
+  check "window cleared t's bound" true
+    (Flexbpf.Interp.tier_capacity env "t" = None);
+  Targets.Device.rollback dev;
+  check "added map removed" true (Targets.Device.map_state dev "cnt2" = None);
+  check "resident map kept" true (Targets.Device.map_state dev "cnt" <> None);
+  check "added table unregistered" false (Hashtbl.mem env.Flexbpf.Interp.tables "u");
+  check "resident table kept" true (Hashtbl.mem env.Flexbpf.Interp.tables "t");
+  check "t's bound restored" true (Flexbpf.Interp.tier_capacity env "t" = Some 4)
+
 let test_epoch_stamping () =
   let dev = Targets.Device.create Targets.Arch.drmt in
   let ctx = prog_of [ small_table "t" ] in
@@ -584,6 +653,10 @@ let () =
             test_thaw_drops_released_decls;
           Alcotest.test_case "rollback restores snapshot" `Quick
             test_rollback_restores_snapshot;
+          Alcotest.test_case "freeze cost flat in residents" `Quick
+            test_freeze_cost_flat;
+          Alcotest.test_case "rollback undoes the window log" `Quick
+            test_rollback_undoes_window_log;
           Alcotest.test_case "epoch stamping" `Quick test_epoch_stamping ] );
       ( "state+energy",
         [ Alcotest.test_case "snapshot conversion" `Quick
